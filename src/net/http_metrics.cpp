@@ -86,14 +86,15 @@ struct HttpMetricsServer::Impl {
   }
 
   void serve_loop() {
-    while (!stopping.load(std::memory_order_relaxed)) {
+    for (;;) {
       std::optional<Socket> sock;
       try {
-        sock = listener.accept(options.accept_timeout_ms);
+        sock = listener.accept();
       } catch (const NetError&) {
-        return;  // listener closed by stop()
+        return;  // listener failure
       }
-      if (sock) handle(*sock);
+      if (!sock) return;  // woken by stop()
+      handle(*sock);
     }
   }
 };
@@ -115,8 +116,9 @@ std::int64_t HttpMetricsServer::requests_served() const noexcept {
 
 void HttpMetricsServer::stop() {
   if (!impl_ || impl_->stopping.exchange(true)) return;
-  impl_->listener.close();
+  impl_->listener.wake();
   if (impl_->server.joinable()) impl_->server.join();
+  impl_->listener.close();
 }
 
 }  // namespace cebis::net

@@ -24,7 +24,6 @@ struct HttpMetricsOptions {
   const obs::MetricsRegistry* registry = nullptr;
   int read_timeout_ms = 2000;
   int write_timeout_ms = 2000;
-  int accept_timeout_ms = 100;
 };
 
 class HttpMetricsServer {

@@ -47,7 +47,6 @@ struct Server::Impl {
             .port = options.subscribe_port,
             .queue_capacity = options.subscriber_queue_capacity,
             .write_timeout_ms = options.write_timeout_ms,
-            .accept_timeout_ms = options.accept_timeout_ms,
             .taps = options.taps,
         }) {
     if (options.log_path.empty()) {
@@ -57,7 +56,6 @@ struct Server::Impl {
       http = std::make_unique<HttpMetricsServer>(HttpMetricsOptions{
           .port = options.http_port,
           .registry = options.taps.metrics,
-          .accept_timeout_ms = options.accept_timeout_ms,
       });
     }
     if (options.taps.metrics != nullptr) {
@@ -206,15 +204,14 @@ struct Server::Impl {
     FrameReader reader(sock);
     for (;;) {
       if (stopping.load(std::memory_order_relaxed)) return false;
+      const std::int64_t frame_offset = reader.offset();
       std::optional<Frame> frame = reader.next(options.read_timeout_ms);
       if (!frame) {
         event("feeder disconnected at byte offset " +
-              std::to_string(reader.offset()));
+              std::to_string(frame_offset));
         return false;
       }
       m_frames.add();
-      const std::int64_t frame_offset =
-          reader.offset();  // one past this frame; good enough for provenance
       if (frame->type == static_cast<std::uint8_t>(NetFrameType::kFeedEnd)) {
         pump();
         if (live == nullptr || !live->done() || !pending.empty()) {
@@ -292,11 +289,11 @@ struct Server::Impl {
     while (!stopping.load(std::memory_order_relaxed) && !finished) {
       std::optional<Socket> sock;
       try {
-        sock = ingest_listener.accept(options.accept_timeout_ms);
+        sock = ingest_listener.accept();
       } catch (const NetError&) {
-        break;  // listener closed by stop()
+        break;  // listener failure
       }
-      if (!sock) continue;
+      if (!sock) break;  // woken by stop()
       ++report.ingest_connections;
       m_connections.add();
       try {
@@ -345,6 +342,7 @@ ServerReport Server::serve() { return impl_->serve(); }
 void Server::stop() {
   if (!impl_) return;
   impl_->stopping.store(true, std::memory_order_relaxed);
+  impl_->ingest_listener.wake();
   impl_->hub.stop();
   if (impl_->http) impl_->http->stop();
 }

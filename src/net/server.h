@@ -58,8 +58,6 @@ struct ServerOptions {
   /// Per-connection read deadline: a feeder silent this long is
   /// disconnected (it reconnects and resumes via the status cursor).
   int read_timeout_ms = 5000;
-  /// Cadence at which accept-waits recheck the stop flag.
-  int accept_timeout_ms = 100;
   int write_timeout_ms = 2000;
   std::size_t subscriber_queue_capacity = 256;
 
@@ -119,7 +117,10 @@ class Server {
   /// completes or stop() is called. Returns the session report.
   [[nodiscard]] ServerReport serve();
 
-  /// Thread-safe; serve() returns within ~read_timeout_ms.
+  /// Thread-safe. Wakes every listener, so an idle serve() (waiting
+  /// for a feeder to connect) returns at once. A feed connection in
+  /// progress is not interrupted: serve() returns once its current
+  /// read does, within ~read_timeout_ms.
   void stop();
 
  private:

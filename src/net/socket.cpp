@@ -4,9 +4,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -169,9 +171,26 @@ Listener::Listener(std::uint16_t port, int backlog) {
     raise_errno("getsockname");
   }
   port_ = ntohs(bound.sin_port);
+  // Non-blocking, so a connection that vanishes between poll and
+  // accept sends accept() back to poll, where wake() can reach it.
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) != 0) {
+    ::close(fd_);
+    fd_ = -1;
+    raise_errno("fcntl(O_NONBLOCK)");
+  }
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    ::close(fd_);
+    fd_ = -1;
+    raise_errno("eventfd");
+  }
 }
 
-Listener::~Listener() { close(); }
+Listener::~Listener() {
+  close();
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+}
 
 void Listener::close() noexcept {
   if (fd_ >= 0) {
@@ -180,19 +199,34 @@ void Listener::close() noexcept {
   }
 }
 
-std::optional<Socket> Listener::accept(int timeout_ms) {
+void Listener::wake() noexcept {
+  // The counter is never read back, so the eventfd stays readable and
+  // every later accept() returns at once too.
+  (void)::eventfd_write(wake_fd_, 1);
+}
+
+std::optional<Socket> Listener::accept() {
   if (fd_ < 0) throw NetError("accept on a closed listener");
-  if (!wait_ready(fd_, POLLIN, timeout_ms, "accept")) return std::nullopt;
+  std::array<pollfd, 2> fds{};
+  fds[0].fd = fd_;
+  fds[0].events = POLLIN;
+  fds[1].fd = wake_fd_;
+  fds[1].events = POLLIN;
   for (;;) {
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      raise_errno("accept: poll");
+    }
+    if (fds[1].revents != 0) return std::nullopt;
     const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd >= 0) {
       set_nodelay(fd);
       return Socket(fd);
     }
-    if (errno == EINTR) continue;
     // The pending connection can vanish between poll and accept.
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED) {
-      return std::nullopt;
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
+        errno == ECONNABORTED) {
+      continue;
     }
     raise_errno("accept");
   }

@@ -70,6 +70,8 @@ class Socket {
 
 /// A loopback TCP listener. Port 0 binds an ephemeral port; port()
 /// reports the resolved one (how tests avoid fixed-port collisions).
+/// An eventfd sits beside the listening socket in accept()'s poll set,
+/// so wake() ends an accept wait at once and for good.
 class Listener {
  public:
   explicit Listener(std::uint16_t port, int backlog = 16);
@@ -80,15 +82,23 @@ class Listener {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// One accepted connection, or nullopt when `timeout_ms` passes
-  /// without one (the poll cadence server loops check stop flags at).
-  /// Throws NetError on listener failure or after close().
-  [[nodiscard]] std::optional<Socket> accept(int timeout_ms);
+  /// Waits, with no timeout, for one connection. Returns nullopt once
+  /// wake() has been called (before or during the wait, and on every
+  /// call after it). Throws NetError on listener failure or after
+  /// close().
+  [[nodiscard]] std::optional<Socket> accept();
 
+  /// Ends every current and future accept() wait. Thread-safe: the one
+  /// call another thread may make while accept() is waiting.
+  void wake() noexcept;
+
+  /// Releases the port. Not safe against a concurrent accept(): wake()
+  /// the accepting thread and join it first.
   void close() noexcept;
 
  private:
   int fd_ = -1;
+  int wake_fd_ = -1;
   std::uint16_t port_ = 0;
 };
 

@@ -60,18 +60,23 @@ struct SubscriberHub::Impl {
   }
 
   void writer_loop(Subscriber& sub) {
+    std::deque<std::shared_ptr<const std::vector<std::uint8_t>>> batch;
+    std::vector<std::uint8_t> bytes;  // reused across batches
     for (;;) {
-      std::shared_ptr<const std::vector<std::uint8_t>> frame;
       {
         std::unique_lock<std::mutex> lock(sub.mutex);
         sub.cv.wait(lock, [&] { return sub.dead || !sub.queue.empty(); });
         if (sub.queue.empty()) return;  // dead with nothing left to send
-        frame = std::move(sub.queue.front());
-        sub.queue.pop_front();
-        if (sub.queue.empty()) sub.cv.notify_all();  // wake drain()
+        batch.swap(sub.queue);
+        sub.cv.notify_all();  // wake drain()
       }
+      bytes.clear();
+      for (const auto& frame : batch) {
+        bytes.insert(bytes.end(), frame->begin(), frame->end());
+      }
+      batch.clear();
       try {
-        sub.sock.write_all(frame->data(), frame->size(),
+        sub.sock.write_all(bytes.data(), bytes.size(),
                            options.write_timeout_ms);
       } catch (const NetError&) {
         std::lock_guard<std::mutex> lock(sub.mutex);
@@ -84,14 +89,14 @@ struct SubscriberHub::Impl {
   }
 
   void accept_loop() {
-    while (!stopping.load(std::memory_order_relaxed)) {
+    for (;;) {
       std::optional<Socket> sock;
       try {
-        sock = listener.accept(options.accept_timeout_ms);
+        sock = listener.accept();
       } catch (const NetError&) {
-        return;  // listener closed by stop()
+        return;  // listener failure
       }
-      if (!sock) continue;
+      if (!sock) return;  // woken by stop()
       try {
         const Channel channel =
             read_stream_header(*sock, options.handshake_timeout_ms);
@@ -209,8 +214,9 @@ bool SubscriberHub::drain(int timeout_ms) {
 
 void SubscriberHub::stop() {
   if (!impl_ || impl_->stopping.exchange(true)) return;
-  impl_->listener.close();
+  impl_->listener.wake();
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
+  impl_->listener.close();
   std::vector<std::unique_ptr<Subscriber>> subs;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);

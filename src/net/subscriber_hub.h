@@ -9,9 +9,11 @@
 // operation. A full queue drops its OLDEST frame (the subscriber is
 // behind; the newest state is worth more than a complete history) and
 // bumps the dropped-frames counter. A dedicated writer thread per
-// subscriber drains the queue to the socket; a write error or timeout
-// marks the subscriber dead and publish() reaps it - a killed or
-// wedged client costs the loop one queue append, nothing more.
+// subscriber takes its whole queue at each wake and sends it with one
+// write (frames are tens of bytes, so a send per frame would dominate
+// fan-out); a write error or timeout marks the subscriber dead and
+// publish() reaps it - a killed or wedged client costs the loop one
+// queue append, nothing more.
 // tests/test_net.cpp pins both properties (slow-subscriber drop
 // policy, 0-vs-8-subscriber decision identity).
 
@@ -32,8 +34,6 @@ struct SubscriberHubOptions {
   std::size_t queue_capacity = 256;
   /// Deadline for one socket write; a slower subscriber is dead.
   int write_timeout_ms = 2000;
-  /// Cadence at which the acceptor thread checks the stop flag.
-  int accept_timeout_ms = 100;
   /// Deadline for the subscriber's stream header after connect.
   int handshake_timeout_ms = 2000;
   obs::Taps taps;

@@ -86,63 +86,59 @@ void write_frame(Socket& sock, std::uint8_t type,
   sock.write_all(buf.data(), buf.size(), timeout_ms);
 }
 
-std::optional<Frame> FrameReader::next(int timeout_ms) {
-  const std::int64_t frame_offset = offset_;
-  std::uint8_t type = 0;
-  if (!sock_.read_exact(&type, 1, timeout_ms)) {
-    return std::nullopt;  // orderly close exactly on a frame boundary
+bool FrameReader::fill(std::size_t n, int timeout_ms) {
+  if (buffered() >= n) return true;
+  std::memmove(buf_.data(), buf_.data() + begin_, buffered());
+  end_ -= begin_;
+  begin_ = 0;
+  if (buf_.size() < n) buf_.resize(n);
+  while (end_ < n) {
+    const std::size_t got =
+        sock_.read_some(buf_.data() + end_, buf_.size() - end_, timeout_ms);
+    if (got == 0) return false;  // peer closed
+    end_ += got;
   }
-  std::uint32_t payload_len = 0;
-  try {
-    if (!sock_.read_exact(&payload_len, sizeof(payload_len), timeout_ms)) {
-      throw NetError("peer closed");
-    }
-  } catch (const TimeoutError&) {
-    throw;
-  } catch (const NetError&) {
+  return true;
+}
+
+std::optional<Frame> FrameReader::next(int timeout_ms) {
+  constexpr std::size_t kHeader = 1 + sizeof(std::uint32_t);
+  constexpr std::size_t kCrc = sizeof(std::uint32_t);
+  if (!fill(kHeader, timeout_ms)) {
+    if (buffered() == 0) return std::nullopt;  // closed on a frame boundary
     throw WireError(
         std::string("torn frame: stream ended inside the header of a ") +
-            frame_type_name(type) + " frame",
-        frame_offset);
+            frame_type_name(buf_[begin_]) + " frame",
+        offset_);
   }
+  const std::uint8_t type = buf_[begin_];
+  std::uint32_t payload_len = 0;
+  std::memcpy(&payload_len, buf_.data() + begin_ + 1, sizeof(payload_len));
   if (payload_len > max_payload_) {
     throw WireError("oversized frame: " + std::to_string(payload_len) +
                         " byte payload exceeds the " +
                         std::to_string(max_payload_) + " byte limit",
-                    frame_offset);
+                    offset_);
   }
-  std::vector<std::uint8_t> buf(1 + sizeof(payload_len) + payload_len);
-  buf[0] = type;
-  std::memcpy(buf.data() + 1, &payload_len, sizeof(payload_len));
+  const std::size_t body = kHeader + payload_len;
+  if (!fill(body + kCrc, timeout_ms)) {
+    throw WireError(std::string("torn frame: stream ended inside a ") +
+                        frame_type_name(type) + " frame",
+                    offset_);
+  }
+  const std::uint8_t* frame_begin = buf_.data() + begin_;
   std::uint32_t stored_crc = 0;
-  try {
-    if (payload_len > 0 &&
-        !sock_.read_exact(buf.data() + 1 + sizeof(payload_len), payload_len,
-                          timeout_ms)) {
-      throw NetError("peer closed");
-    }
-    if (!sock_.read_exact(&stored_crc, sizeof(stored_crc), timeout_ms)) {
-      throw NetError("peer closed");
-    }
-  } catch (const TimeoutError&) {
-    throw;
-  } catch (const NetError&) {
-    throw WireError(
-        std::string("torn frame: stream ended inside a ") +
-            frame_type_name(type) + " frame",
-        frame_offset);
-  }
-  const std::uint32_t computed = service::crc32(buf.data(), buf.size());
-  if (computed != stored_crc) {
+  std::memcpy(&stored_crc, frame_begin + body, sizeof(stored_crc));
+  if (service::crc32(frame_begin, body) != stored_crc) {
     throw WireError(std::string("CRC mismatch in a ") +
                         frame_type_name(type) + " frame",
-                    frame_offset);
+                    offset_);
   }
-  offset_ =
-      frame_offset + static_cast<std::int64_t>(buf.size() + sizeof(stored_crc));
   Frame frame;
   frame.type = type;
-  frame.payload.assign(buf.begin() + 1 + sizeof(payload_len), buf.end());
+  frame.payload.assign(frame_begin + kHeader, frame_begin + body);
+  begin_ += body + kCrc;
+  offset_ += static_cast<std::int64_t>(body + kCrc);
   return frame;
 }
 

@@ -128,23 +128,44 @@ void write_frame(Socket& sock, std::uint8_t type,
 /// Strict framed reader over a socket. Payloads above `max_payload`
 /// are rejected before allocation (a torn length prefix must not look
 /// like a 4 GB frame).
+///
+/// Reads are buffered: one recv takes as many bytes as the kernel holds
+/// (up to kBufferBytes, or one whole frame when that is larger), and
+/// next() parses frames out of the buffer in place. Bytes past the
+/// current frame therefore sit in the reader, so once constructed a
+/// FrameReader owns every read on its socket; read the stream header
+/// before constructing it.
 class FrameReader {
  public:
+  static constexpr std::size_t kBufferBytes = 64u << 10;
+
   explicit FrameReader(Socket& sock,
                        std::size_t max_payload = 16u << 20)
-      : sock_(sock), max_payload_(max_payload) {}
+      : sock_(sock), max_payload_(max_payload), buf_(kBufferBytes) {}
 
   /// The next frame, or nullopt on orderly peer close at a frame
-  /// boundary. Throws WireError (torn frame / CRC mismatch / oversized
-  /// payload), TimeoutError when `timeout_ms` passes mid-frame.
+  /// boundary with nothing buffered. Throws WireError (torn frame / CRC
+  /// mismatch / oversized payload), TimeoutError when `timeout_ms`
+  /// passes mid-frame, NetError when the socket itself fails.
   [[nodiscard]] std::optional<Frame> next(int timeout_ms);
 
   /// Byte offset the next frame starts at (stream header excluded).
   [[nodiscard]] std::int64_t offset() const noexcept { return offset_; }
 
  private:
+  /// Makes at least `n` bytes available at buf_[begin_]: when fewer are
+  /// buffered, moves them to the front (growing buf_ to `n` if needed)
+  /// and reads into the free space until `n` are there. False when the
+  /// peer closes first.
+  bool fill(std::size_t n, int timeout_ms);
+
+  [[nodiscard]] std::size_t buffered() const noexcept { return end_ - begin_; }
+
   Socket& sock_;
   std::size_t max_payload_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t begin_ = 0;  ///< first unparsed byte in buf_
+  std::size_t end_ = 0;    ///< one past the last received byte in buf_
   std::int64_t offset_ = 0;
 };
 

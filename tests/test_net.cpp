@@ -2,7 +2,8 @@
 //
 //   - the wire codec round-trips and the strict FrameReader rejects
 //     torn, corrupt and oversized frames with byte-offset provenance
-//     (mirroring the event log's reader discipline);
+//     (mirroring the event log's reader discipline), however its
+//     buffered reads split the stream into recvs;
 //   - a full socket-fed session is indistinguishable from an
 //     in-process one: the event log the server writes is BYTE-IDENTICAL
 //     to the log an in-process LiveEngine writes over the same feed,
@@ -15,7 +16,8 @@
 //     drop-oldest policy without stalling publish(), killed clients
 //     are reaped, and the decision stream with 8 subscribers (some
 //     killed mid-stream, one mute) is byte-identical to the
-//     0-subscriber run.
+//     0-subscriber run;
+//   - stop() wakes every listener, so an idle server stops at once.
 //
 // Runs in every CI leg including TSan (short windows, and the suite is
 // the thread-heavy one - acceptor, writer and serve threads all race
@@ -23,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -46,6 +49,7 @@
 #include "service/event_log.h"
 #include "service/live_engine.h"
 #include "service/replay.h"
+#include "stats/rng.h"
 #include "test_support.h"
 
 namespace cebis::net {
@@ -152,8 +156,8 @@ struct SocketPair {
   Socket server;
   SocketPair() {
     client = connect_to("127.0.0.1", listener.port(), 2000);
-    std::optional<Socket> accepted = listener.accept(2000);
-    if (!accepted) throw NetError("SocketPair: accept timed out");
+    std::optional<Socket> accepted = listener.accept();
+    if (!accepted) throw NetError("SocketPair: no connection accepted");
     server = std::move(*accepted);
   }
 };
@@ -228,6 +232,137 @@ TEST(NetWireTest, FrameReaderTimesOutMidFrame) {
   const std::uint8_t type = static_cast<std::uint8_t>(NetFrameType::kFeedEnd);
   pair.client.write_all(&type, 1, kIoMs);  // ...and then silence
   FrameReader reader(pair.server);
+  EXPECT_THROW((void)reader.next(100), TimeoutError);
+}
+
+// --- the buffered reader: many frames per recv, frames across recvs ----------
+
+/// Frames of assorted types and sizes (empty payloads included) and the
+/// byte stream that carries them.
+struct FrameStream {
+  std::vector<Frame> frames;
+  std::vector<std::int64_t> offsets;  ///< where each frame starts
+  std::vector<std::uint8_t> bytes;
+
+  void add(std::uint8_t type, std::vector<std::uint8_t> payload) {
+    offsets.push_back(static_cast<std::int64_t>(bytes.size()));
+    append_frame(bytes, type, payload);
+    frames.push_back(Frame{type, std::move(payload)});
+  }
+};
+
+FrameStream assorted_frames(int n) {
+  constexpr std::uint8_t kTypes[] = {
+      static_cast<std::uint8_t>(NetFrameType::kTelemetry),
+      static_cast<std::uint8_t>(NetFrameType::kSealHeadroom),
+      static_cast<std::uint8_t>(NetFrameType::kFeedEnd)};
+  FrameStream stream;
+  for (int i = 0; i < n; ++i) {
+    std::vector<std::uint8_t> payload(static_cast<std::size_t>((i * 37) % 211));
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+      payload[k] = static_cast<std::uint8_t>(i * 7 + static_cast<int>(k));
+    }
+    stream.add(kTypes[i % 3], std::move(payload));
+  }
+  return stream;
+}
+
+/// Reads `stream`'s frames back and checks each one and the offset it
+/// started at.
+void expect_frames(FrameReader& reader, const FrameStream& stream) {
+  for (std::size_t i = 0; i < stream.frames.size(); ++i) {
+    ASSERT_EQ(reader.offset(), stream.offsets[i]) << "frame " << i;
+    const std::optional<Frame> frame = reader.next(kIoMs);
+    ASSERT_TRUE(frame.has_value()) << "frame " << i;
+    EXPECT_EQ(frame->type, stream.frames[i].type) << "frame " << i;
+    EXPECT_EQ(frame->payload, stream.frames[i].payload) << "frame " << i;
+  }
+  EXPECT_EQ(reader.offset(), static_cast<std::int64_t>(stream.bytes.size()));
+}
+
+// One write, one segment: the reader parses every frame out of its
+// buffer, and reports the close only once they are all read.
+TEST(NetWireTest, FrameReaderReadsManyFramesFromOneSegment) {
+  SocketPair pair;
+  const FrameStream stream = assorted_frames(64);
+  pair.client.write_all(stream.bytes.data(), stream.bytes.size(), kIoMs);
+  pair.client.close();
+  FrameReader reader(pair.server);
+  expect_frames(reader, stream);
+  EXPECT_FALSE(reader.next(kIoMs).has_value());
+}
+
+TEST(NetWireTest, FrameReaderReadsAStreamDribbledOneByteAtATime) {
+  SocketPair pair;
+  const FrameStream stream = assorted_frames(6);
+  std::thread writer([&] {
+    for (const std::uint8_t byte : stream.bytes) {
+      pair.client.write_all(&byte, 1, kIoMs);
+    }
+    pair.client.close();
+  });
+  FrameReader reader(pair.server);
+  expect_frames(reader, stream);
+  EXPECT_FALSE(reader.next(kIoMs).has_value());
+  writer.join();
+}
+
+TEST(NetWireTest, FrameReaderReadsAPayloadLargerThanItsBuffer) {
+  SocketPair pair;
+  FrameStream stream = assorted_frames(3);
+  std::vector<std::uint8_t> big(2 * FrameReader::kBufferBytes + 123);
+  for (std::size_t k = 0; k < big.size(); ++k) {
+    big[k] = static_cast<std::uint8_t>(k * 31 + 5);
+  }
+  stream.add(static_cast<std::uint8_t>(NetFrameType::kTelemetry), big);
+  stream.add(static_cast<std::uint8_t>(NetFrameType::kFeedEnd), {});
+  std::thread writer([&] {
+    pair.client.write_all(stream.bytes.data(), stream.bytes.size(), kIoMs);
+    pair.client.close();
+  });
+  FrameReader reader(pair.server, /*max_payload=*/big.size());
+  expect_frames(reader, stream);
+  EXPECT_FALSE(reader.next(kIoMs).has_value());
+  writer.join();
+}
+
+TEST(NetWireTest, FrameReaderNamesTheTornFrameAfterBufferedFrames) {
+  // Cut inside the next frame's header, and inside its payload: both
+  // arrive in the same segment as the whole frames before them.
+  for (const std::size_t cut : {std::size_t{3}, std::size_t{40}}) {
+    SocketPair pair;
+    const FrameStream stream = assorted_frames(9);
+    std::vector<std::uint8_t> bytes = stream.bytes;
+    append_frame(bytes, static_cast<std::uint8_t>(NetFrameType::kTelemetry),
+                 encode_telemetry(TelemetryFrame{}));
+    bytes.resize(stream.bytes.size() + cut);
+    pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
+    pair.client.close();
+
+    FrameReader reader(pair.server);
+    expect_frames(reader, stream);
+    try {
+      (void)reader.next(kIoMs);
+      FAIL() << "a torn frame must not read back (cut at " << cut << ")";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.byte_offset(),
+                static_cast<std::int64_t>(stream.bytes.size()));
+      EXPECT_NE(std::string(e.what()).find("torn frame"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(NetWireTest, FrameReaderTimesOutMidFrameAfterBufferedFrames) {
+  SocketPair pair;
+  const FrameStream stream = assorted_frames(5);
+  std::vector<std::uint8_t> bytes = stream.bytes;
+  append_frame(bytes, static_cast<std::uint8_t>(NetFrameType::kTelemetry),
+               encode_telemetry(TelemetryFrame{}));
+  bytes.resize(stream.bytes.size() + 20);  // ...and then silence
+  pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
+  FrameReader reader(pair.server);
+  expect_frames(reader, stream);
   EXPECT_THROW((void)reader.next(100), TimeoutError);
 }
 
@@ -593,6 +728,17 @@ TEST_F(NetLoopbackTest, SessionMetaSeedMustMatchEmbeddedFixture) {
   EXPECT_GE(report.protocol_errors, 1);
 }
 
+/// Waits up to 10 s for `hub`'s acceptor to register a subscriber.
+bool await_first_subscriber(const SubscriberHub& hub) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (hub.subscriber_count() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return hub.subscriber_count() == 1;
+}
+
 TEST_F(NetLoopbackTest, SlowSubscriberHitsDropPolicyWithoutStallingPublish) {
   SubscriberHubOptions options;
   options.queue_capacity = 4;
@@ -606,13 +752,7 @@ TEST_F(NetLoopbackTest, SlowSubscriberHitsDropPolicyWithoutStallingPublish) {
   // A subscriber that handshakes and then never reads a byte.
   Socket mute = connect_to("127.0.0.1", hub.port(), 2000);
   write_stream_header(mute, Channel::kSubscribe, kIoMs);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(10);
-  while (hub.subscriber_count() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(hub.subscriber_count(), 1u);
+  ASSERT_TRUE(await_first_subscriber(hub));
 
   // 128 quarter-MiB frames (32 MiB total) overflow the socket buffers
   // and the 4-deep queue many times over. publish() must shrug it all
@@ -757,6 +897,135 @@ TEST_F(NetLoopbackTest, HttpEndpointServesPrometheusText) {
   EXPECT_NE(request("POST /metrics HTTP/1.1").find("405"), std::string::npos);
   EXPECT_EQ(http.requests_served(), 3);
   http.stop();
+}
+
+TEST_F(NetLoopbackTest, SessionStreamReadsBackAcrossRandomChunking) {
+  // A real 24-hour session's feed, as FeedClient frames it, written in
+  // chunks split at seeded random points: from single bytes (frames torn
+  // across many recvs) to tens of KiB (many frames per recv).
+  const SessionFeed feed = make_feed(*fixture_, 24);
+  FrameStream stream;
+  const service::EventRecord meta{feed.meta};
+  stream.add(static_cast<std::uint8_t>(service::record_type(meta)),
+             service::encode_record(meta));
+  for (const service::EventRecord& record :
+       interleave_feed(feed.meta, feed.ticks, feed.steps)) {
+    stream.add(static_cast<std::uint8_t>(service::record_type(record)),
+               service::encode_record(record));
+  }
+  stats::Rng rng = test::test_rng(1301);
+  std::vector<std::size_t> chunks;
+  for (std::size_t left = stream.bytes.size(); left > 0;) {
+    const std::size_t want =
+        rng.bernoulli(0.5) ? 1 + rng.index(16) : 1 + rng.index(48u << 10);
+    chunks.push_back(std::min(want, left));
+    left -= chunks.back();
+  }
+
+  SocketPair pair;
+  std::thread writer([&] {
+    std::size_t at = 0;
+    for (const std::size_t n : chunks) {
+      pair.client.write_all(stream.bytes.data() + at, n, kIoMs);
+      at += n;
+    }
+    pair.client.close();
+  });
+  FrameReader reader(pair.server);
+  expect_frames(reader, stream);
+  EXPECT_FALSE(reader.next(kIoMs).has_value());
+  writer.join();
+  EXPECT_GT(stream.frames.size(), 2000u);
+}
+
+TEST_F(NetLoopbackTest, SubscriberHubDeliversABurstCompleteAndInOrder) {
+  SubscriberHubOptions options;
+  options.queue_capacity = 64;
+  SubscriberHub hub(options);
+  Socket sock = connect_to("127.0.0.1", hub.port(), 2000);
+  write_stream_header(sock, Channel::kSubscribe, kIoMs);
+  ASSERT_TRUE(await_first_subscriber(hub));
+
+  // A full queue's worth of frames, published faster than the writer
+  // drains them, to a subscriber that starts reading late.
+  std::vector<std::uint8_t> expected;
+  for (std::size_t i = 0; i < options.queue_capacity; ++i) {
+    std::vector<std::uint8_t> payload(8 + (i * 53) % 300);
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+      payload[k] = static_cast<std::uint8_t>(i ^ k);
+    }
+    const auto type = static_cast<std::uint8_t>(
+        i % 2 == 0 ? NetFrameType::kTelemetry : NetFrameType::kSealHeadroom);
+    hub.publish(type, payload);
+    append_frame(expected, type, payload);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  std::vector<std::uint8_t> got(expected.size());
+  ASSERT_TRUE(sock.read_exact(got.data(), got.size(), kIoMs));
+  EXPECT_EQ(got, expected);
+  EXPECT_TRUE(hub.drain(kIoMs));
+  EXPECT_EQ(hub.dropped_frames(), 0);
+  hub.stop();
+  std::uint8_t extra = 0;
+  EXPECT_EQ(sock.read_some(&extra, 1, kIoMs), 0u);  // nothing more was sent
+}
+
+TEST_F(NetLoopbackTest, ProtocolErrorNamesTheOffendingFrameStart) {
+  test::TempFile server_log("net_error_offset.eventlog");
+  const SessionFeed feed = make_feed(*fixture_, 2);
+  ServerOptions options = loopback_options(server_log.path());
+  options.fixture = fixture_;
+  ServerHarness harness(options);
+
+  const auto frame_bytes = [](const service::EventRecord& record) {
+    std::vector<std::uint8_t> bytes;
+    append_frame(bytes, static_cast<std::uint8_t>(service::record_type(record)),
+                 service::encode_record(record));
+    return static_cast<std::int64_t>(bytes.size());
+  };
+  std::int64_t bad_offset = 0;
+  {
+    RawFeeder feeder(harness.server().ingest_port());
+    std::vector<service::EventRecord> clean = {service::EventRecord{feed.meta}};
+    for (std::size_t k = 0; k < 5; ++k) clean.emplace_back(feed.ticks[k]);
+    for (const service::EventRecord& record : clean) {
+      feeder.send(record);
+      bad_offset += frame_bytes(record);
+    }
+    // The 7th frame: step 2 where step 0 is due.
+    feeder.send(service::EventRecord{feed.steps[2]});
+    EXPECT_TRUE(feeder.server_closed());
+  }
+  const ServerReport report = harness.stop_and_join();
+  EXPECT_EQ(report.protocol_errors, 1);
+  const std::string where = "(byte offset " + std::to_string(bad_offset) + ")";
+  bool named = false;
+  std::string events;
+  for (const std::string& event : report.events) {
+    named = named || (event.find("WorkloadStep out of order") !=
+                          std::string::npos &&
+                      event.find(where) != std::string::npos);
+    events += event + "\n";
+  }
+  EXPECT_TRUE(named) << "want " << where << " in:\n" << events;
+}
+
+TEST_F(NetLoopbackTest, IdleServerStopReturnsPromptly) {
+  // No timeout is left in any accept wait, so this passing at all means
+  // stop() woke the ingest, subscriber and HTTP listeners; the bound is
+  // only a liveness check.
+  test::TempFile server_log("net_idle_stop.eventlog");
+  ServerHarness harness(loopback_options(server_log.path()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto t0 = std::chrono::steady_clock::now();
+  const ServerReport report = harness.stop_and_join();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(
+      std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
+      2000);
+  EXPECT_FALSE(report.result.has_value());
+  EXPECT_EQ(report.ingest_connections, 0);
 }
 
 }  // namespace
