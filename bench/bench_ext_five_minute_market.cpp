@@ -10,7 +10,7 @@
 // billing, demand metering and the battery peak guard all follow the
 // native interval. Two figures per granularity: the price-aware savings
 // against the baseline router, and the battery-backed
-// (price_aware+storage, Lyapunov) tariff bill with exact interval
+// (price-aware plus a Lyapunov-run StorageSpec) tariff bill with exact interval
 // demand metering.
 
 #include <vector>
@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       .enforce_p95 = true,
   };
   core::ScenarioSpec stored = routed;
-  stored.router = "price_aware+storage";
   core::StorageSpec st;
   st.policy = "lyapunov";
   st.battery = storage::battery_for_mean_load(0.2, 4.0);

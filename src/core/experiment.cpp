@@ -51,8 +51,7 @@ std::unique_ptr<Workload> make_workload(const Fixture& f, const ScenarioSpec& sp
 struct EngineKey {
   std::string cluster_tag;  ///< "" = fixture clusters; else the router name
   bool enforce_p95 = true;
-  int delay_hours = 1;
-  int delay_steps = 0;
+  int delay_intervals = 0;  ///< resolved routing delay (native intervals)
   const market::PriceSet* routing_prices = nullptr;
   energy::EnergyModelParams energy;
 
@@ -111,29 +110,32 @@ std::size_t Fixture::cheapest_cluster() const {
   return best;
 }
 
-namespace {
-
-/// The price window one spec needs: its workload period plus the front
-/// margin delayed routing reads (hour - delay).
-Period priced_window_of(const Fixture& fixture, const ScenarioSpec& spec) {
-  const Period p = spec.workload == WorkloadKind::kSynthetic39Month
-                       ? synthetic_window_of(spec)
-                       : fixture.trace.period();
-  // delay_steps replaces the hour delay: its front margin is that many
-  // native market intervals, rounded up to whole hours.
+Period priced_window_of(Period workload, const ScenarioSpec& spec) {
   const int sph = market_samples_per_hour(spec);
-  const int margin = spec.delay_steps > 0 ? (spec.delay_steps + sph - 1) / sph
-                                          : spec.delay_hours;
-  return Period{p.begin - margin, p.end};
+  const int delay = delay_intervals(spec.delay_hours, spec.delay_steps, sph);
+  return priced_window(workload, delay, sph);
 }
 
-}  // namespace
+EngineRecipe engine_recipe(const Fixture& fixture, const ScenarioSpec& spec) {
+  EngineRecipe recipe;
+  recipe.entry = &RouterRegistry::instance().at(spec.router);
+  recipe.clusters = recipe.entry->clusters
+                        ? recipe.entry->clusters(fixture, spec)
+                        : fixture.clusters;
+  recipe.config.energy = spec.energy;
+  recipe.config.delay_hours = spec.delay_hours;
+  recipe.config.delay_steps = spec.delay_steps;
+  recipe.config.enforce_p95 =
+      spec.enforce_p95 && !recipe.entry->forces_relaxed_p95;
+  recipe.config.capacity_factor = spec.capacity_factor;
+  recipe.config.pue_of = spec.pue_of;
+  return recipe;
+}
 
 std::vector<RunResult> run_scenarios(const Fixture& fixture,
                                      std::span<const ScenarioSpec> specs,
                                      const SweepOptions& options,
                                      SweepStats* stats) {
-  const RouterRegistry& registry = RouterRegistry::instance();
   SweepStats local;
   std::vector<RunResult> out(specs.size());
 
@@ -174,7 +176,7 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
         continue;
       }
       const int sph = market_samples_per_hour(spec);
-      const Period w = priced_window_of(fixture, spec);
+      const Period w = priced_window_of(scenario_period(fixture, spec), spec);
       const auto [it, inserted] = needs.emplace(sph, w);
       if (!inserted) {
         it->second.begin = std::min(it->second.begin, w.begin);
@@ -212,8 +214,10 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ScenarioSpec& spec = specs[i];
-    const RouterEntry& entry = registry.at(spec.router);
-    const bool enforce = spec.enforce_p95 && !entry.forces_relaxed_p95;
+    EngineRecipe recipe = engine_recipe(fixture, spec);
+    // Every engine in the sweep shares the caller's taps (the same
+    // pointers sweep-wide, so tap identity never splits an EngineKey).
+    recipe.config.taps = options.taps;
     // An explicit routing_prices override carries its own native
     // interval; fixture-priced specs bill on the resolution the
     // market_interval_minutes knob selects.
@@ -234,23 +238,10 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
       ++local.workloads_built;
     }
 
-    EngineConfig cfg;
-    cfg.energy = spec.energy;
-    cfg.delay_hours = spec.delay_hours;
-    cfg.delay_steps = spec.delay_steps;
-    cfg.enforce_p95 = enforce;
-    cfg.capacity_factor = spec.capacity_factor;
-    cfg.pue_of = spec.pue_of;
-    // Every engine in the sweep shares the caller's taps (the same
-    // pointers sweep-wide, so tap identity never splits an EngineKey).
-    cfg.taps = options.taps;
-
     auto make_engine = [&] {
-      std::vector<Cluster> clusters =
-          entry.clusters ? entry.clusters(fixture, spec) : fixture.clusters;
       ++local.engines_built;
-      return std::make_unique<SimulationEngine>(std::move(clusters), prices,
-                                                fixture.distances, cfg);
+      return std::make_unique<SimulationEngine>(
+          std::move(recipe.clusters), prices, fixture.distances, recipe.config);
     };
 
     // Engine hooks are opaque std::functions - scenarios carrying them
@@ -260,8 +251,10 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
       private_engines.push_back(make_engine());
       engine = private_engines.back().get();
     } else {
-      EngineKey key{entry.clusters ? spec.router : std::string{}, enforce,
-                    spec.delay_hours, spec.delay_steps, &prices, spec.energy};
+      const int delay = delay_intervals(spec.delay_hours, spec.delay_steps,
+                                        prices.samples_per_hour);
+      EngineKey key{recipe.entry->clusters ? spec.router : std::string{},
+                    recipe.config.enforce_p95, delay, &prices, spec.energy};
       auto found = std::find_if(engines.begin(), engines.end(),
                                 [&key](const auto& e) { return e.first == key; });
       if (found == engines.end()) {
@@ -275,7 +268,7 @@ std::vector<RunResult> run_scenarios(const Fixture& fixture,
     cell.spec = &spec;
     cell.engine = engine;
     cell.workload = wit->second.get();
-    cell.router = entry.make(fixture, spec);
+    cell.router = recipe.entry->make(fixture, spec);
     // Caller-supplied std::function state (observers, engine hooks) may
     // not be thread-safe; those cells stay on the calling thread. The
     // runner-owned StorageController is per-cell, so storage cells pool.

@@ -39,6 +39,8 @@
 
 namespace cebis::core {
 
+struct RouterEntry;
+
 struct Fixture {
   std::uint64_t seed = 2009;
 
@@ -141,6 +143,31 @@ struct SweepOptions {
   /// determinism guard with metrics on). Borrowed; null = uninstrumented.
   obs::Taps taps;
 };
+
+/// What a spec resolves to before an engine exists: its registered
+/// router, the cluster set it runs on and the engine configuration. The
+/// scenario runner, the live service and replay all build engines from
+/// this one recipe, so a spec gets the same clusters, constraints and
+/// delay on every path.
+struct EngineRecipe {
+  const RouterEntry* entry = nullptr;  ///< the spec's registry entry
+  /// The entry's cluster override, else the fixture's clusters.
+  std::vector<Cluster> clusters;
+  /// The spec's energy model, delay and hooks; the 95/5 constraint is
+  /// off when the router forces relaxed limits. Taps are left unset.
+  EngineConfig config;
+};
+
+/// Resolves `spec` against the process-wide RouterRegistry (throws
+/// std::invalid_argument for an unknown router).
+[[nodiscard]] EngineRecipe engine_recipe(const Fixture& fixture,
+                                         const ScenarioSpec& spec);
+
+/// The price window a run of `spec` over `workload` reads: the workload
+/// hours plus the front margin its routing delay reaches back, on the
+/// spec's market resolution (see core::priced_window).
+[[nodiscard]] Period priced_window_of(Period workload,
+                                      const ScenarioSpec& spec);
 
 /// Runs one scenario against the fixture.
 [[nodiscard]] RunResult run_scenario(const Fixture& fixture,

@@ -34,13 +34,8 @@ void HourlyEnergyRecorder::on_run_begin(const RunInfo& info,
   begin_ = info.period.begin;
   steps_per_hour_ = info.steps_per_hour;
   rows_per_hour_ = native_intervals_ ? info.price_samples_per_hour : 1;
-  if (rows_per_hour_ == 1) {
-    energy_ = HourlyEnergy(static_cast<std::size_t>(info.period.hours()),
-                           clusters.size());
-  } else {
-    energy_ = HourlyEnergy(static_cast<std::size_t>(info.period.hours()),
-                           rows_per_hour_, clusters.size());
-  }
+  energy_ = HourlyEnergy(static_cast<std::size_t>(info.period.hours()),
+                         rows_per_hour_, clusters.size());
 }
 
 void HourlyEnergyRecorder::on_step(const StepView& view) {

@@ -125,11 +125,11 @@ struct ScenarioSpec {
   /// Observers attached to this scenario's run, caller-owned, invoked in
   /// order.
   std::vector<StepObserver*> observers;
-  /// Battery storage + tariff composition (see StorageSpec). The
-  /// "price_aware+storage" router requires it; any other router accepts
-  /// it as an add-on meter. Incompatible with `routing_prices` (the
-  /// tariff meters the engine's billing price, which under an override
-  /// is a synthetic objective, not dollars - run_scenarios throws).
+  /// Battery storage + tariff composition (see StorageSpec); composes
+  /// with any router as one more observer on the run. Incompatible with
+  /// `routing_prices` (the tariff meters the engine's billing price,
+  /// which under an override is a synthetic objective, not dollars -
+  /// run_scenarios throws).
   std::optional<StorageSpec> storage;
 };
 

@@ -98,6 +98,7 @@ struct SimulationEngine::Session::State {
   int sph;
   Hours dt;
   int psph;
+  int delay = 0;  ///< routing delay in native market intervals
   energy::ClusterEnergyModel model;
 
   // Routing context buffers, bound once: the spans in `ctx` alias these
@@ -187,14 +188,16 @@ SimulationEngine::Session SimulationEngine::begin(
     std::span<StepObserver* const> observers) const {
   const obs::Tracer::Span trace_begin =
       obs::maybe_span(config_.taps.tracer, "engine/begin", "engine");
-  const Period period = workload.period();
   const int psph = prices_.samples_per_hour;
-  // Front margin delayed routing reads: `delay_steps` native intervals
-  // round up to whole hours; otherwise the classic hour delay.
-  const int margin_hours =
-      config_.delay_steps > 0 ? (config_.delay_steps + psph - 1) / psph
-                              : config_.delay_hours;
-  const Period priced{period.begin - margin_hours, period.end};
+  const int sph = workload.steps_per_hour();
+  if (psph < 1 || (psph > 1 && sph % psph != 0 && psph % sph != 0)) {
+    throw std::invalid_argument(
+        "SimulationEngine::run: workload steps and the price set's native "
+        "interval must nest (one samples-per-hour must divide the other)");
+  }
+  const int delay =
+      delay_intervals(config_.delay_hours, config_.delay_steps, psph);
+  const Period priced = priced_window(workload.period(), delay, psph);
   // The guard must check the WHOLE priced window: a price set covering
   // the start but ending early used to pass here and then blow up in
   // PriceSeries::at mid-run - after on_run_begin had fired and with
@@ -221,15 +224,10 @@ SimulationEngine::Session SimulationEngine::begin(
     throw std::invalid_argument(
         "SimulationEngine::run: workload has more states than the distance model");
   }
-  const int sph = workload.steps_per_hour();
-  if (psph < 1 || (psph > 1 && sph % psph != 0 && psph % sph != 0)) {
-    throw std::invalid_argument(
-        "SimulationEngine::run: workload steps and the price set's native "
-        "interval must nest (one samples-per-hour must divide the other)");
-  }
 
   auto state = std::make_unique<Session::State>(*this, workload, router, observers);
   Session::State& s = *state;
+  s.delay = delay;
   for (std::size_t c = 0; c < s.n_clusters; ++c) {
     s.capacity[c] = clusters_[c].capacity.value();
     s.cap_value[c] = clusters_[c].capacity.value();
@@ -302,15 +300,6 @@ void SimulationEngine::Session::State::step_once() {
     cached_hour = hour;
     cached_sub = -1;
     for (std::size_t c = 0; c < n_clusters; ++c) {
-      if (psph == 1) {
-        // With delay_steps active an hourly interval IS the native
-        // interval, so the step delay degenerates to an hour delay.
-        const int delay =
-            config.delay_steps > 0 ? config.delay_steps : config.delay_hours;
-        price[c] = prices.rt_at(clusters[c].hub, hour - delay).value();
-        // Billing uses the concurrent price, not the stale routing price.
-        bill_price[c] = prices.rt_at(clusters[c].hub, hour).value();
-      }
       double factor = 1.0;
       if (config.capacity_factor) {
         factor = std::clamp(config.capacity_factor(c, hour), 0.0, 1.0);
@@ -331,47 +320,41 @@ void SimulationEngine::Session::State::step_once() {
       }
     }
   }
-  if (psph > 1) {
-    // Sub-hourly market: prices refresh on the native interval, not
-    // the hour. Routing reads the same sub-interval of hour - delay
-    // (delay-stale reaction at market granularity) - or, under
-    // delay_steps, the interval exactly that many settlements back;
-    // billing stays concurrent. A workload stepping coarser than the
-    // market bills at the step's time-mean price, exact since demand
-    // is uniform within a step.
-    const auto routing_price = [&](std::size_t c, int sub) {
-      if (config.delay_steps > 0) {
-        const std::int64_t abs_interval =
-            hour * psph + sub - config.delay_steps;
-        const HourIndex h = floor_div(abs_interval, psph);
-        const int s = static_cast<int>(abs_interval - h * psph);
-        return prices.rt_at(clusters[c].hub, h, s).value();
-      }
-      return prices.rt_at(clusters[c].hub, hour - config.delay_hours, sub)
-          .value();
-    };
-    if (sph >= psph) {
-      const int sub = static_cast<int>((step % sph) * psph / sph);
-      if (sub != cached_sub) {
-        cached_sub = sub;
-        for (std::size_t c = 0; c < n_clusters; ++c) {
-          price[c] = routing_price(c, sub);
-          bill_price[c] = prices.rt_at(clusters[c].hub, hour, sub).value();
-        }
-      }
-    } else {
-      const int per_step = psph / sph;
-      const int sub0 = static_cast<int>(step % sph) * per_step;
+  // Prices refresh on the market's native interval (the hour when the
+  // market is hourly). Routing reads the settlement `delay` intervals
+  // before the concurrent one; billing stays concurrent. A workload
+  // stepping coarser than the market bills at the step's time-mean
+  // price, exact since demand is uniform within a step.
+  const auto routing_interval = [&](int sub) {
+    const std::int64_t abs_interval = hour * psph + sub - delay;
+    const HourIndex h = floor_div(abs_interval, psph);
+    const int s = static_cast<int>(abs_interval - h * psph);
+    return std::pair<HourIndex, int>{h, s};
+  };
+  if (sph >= psph) {
+    const int sub = static_cast<int>((step % sph) * psph / sph);
+    if (sub != cached_sub) {
+      cached_sub = sub;
+      const auto [route_hour, route_sub] = routing_interval(sub);
       for (std::size_t c = 0; c < n_clusters; ++c) {
-        double route_sum = 0.0;
-        double bill_sum = 0.0;
-        for (int i = 0; i < per_step; ++i) {
-          route_sum += routing_price(c, sub0 + i);
-          bill_sum += prices.rt_at(clusters[c].hub, hour, sub0 + i).value();
-        }
-        price[c] = route_sum / per_step;
-        bill_price[c] = bill_sum / per_step;
+        price[c] = prices.rt_at(clusters[c].hub, route_hour, route_sub).value();
+        bill_price[c] = prices.rt_at(clusters[c].hub, hour, sub).value();
       }
+    }
+  } else {
+    const int per_step = psph / sph;
+    const int sub0 = static_cast<int>(step % sph) * per_step;
+    for (std::size_t c = 0; c < n_clusters; ++c) {
+      double route_sum = 0.0;
+      double bill_sum = 0.0;
+      for (int i = 0; i < per_step; ++i) {
+        const auto [route_hour, route_sub] = routing_interval(sub0 + i);
+        route_sum +=
+            prices.rt_at(clusters[c].hub, route_hour, route_sub).value();
+        bill_sum += prices.rt_at(clusters[c].hub, hour, sub0 + i).value();
+      }
+      price[c] = route_sum / per_step;
+      bill_price[c] = bill_sum / per_step;
     }
   }
   if (config.enforce_p95) {
@@ -514,11 +497,6 @@ std::int64_t SimulationEngine::Session::steps_done() const noexcept {
 
 std::int64_t SimulationEngine::Session::steps_total() const noexcept {
   return state_->steps_total;
-}
-
-HourIndex SimulationEngine::Session::current_hour() const noexcept {
-  const std::int64_t step = std::min(state_->step, state_->steps_total - 1);
-  return state_->period.begin + step / state_->sph;
 }
 
 double SimulationEngine::Session::cost_so_far() const noexcept {

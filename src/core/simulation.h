@@ -8,13 +8,13 @@
 //
 // Routing uses prices stale by `delay_hours` (the paper conservatively
 // assumes the system reacts to the previous hour's prices); billing
-// always uses the concurrent price. When the price set carries a native
-// sub-hourly interval (PriceSet::samples_per_hour > 1), both refresh on
-// that interval instead of the hour: routing reads the same sub-interval
-// of hour t - delay, and a workload stepping coarser than the market is
-// billed at the step's time-mean price (exact, since demand is uniform
-// within a step). The workload and market cadences must nest (one
-// divides the other).
+// always uses the concurrent price. Both refresh on the price set's
+// native interval (PriceSet::samples_per_hour; the hour for hourly
+// prices), and routing reads the settlement a fixed number of native
+// intervals back (delay_intervals below). A workload stepping coarser
+// than the market is billed at the step's time-mean price (exact, since
+// demand is uniform within a step). The workload and market cadences
+// must nest (one divides the other).
 //
 // Everything beyond the primary dollar accounting - secondary meters,
 // per-hour energy recording, figure series - is layered on via the
@@ -22,11 +22,12 @@
 //
 // Hot-path layout: the RoutingContext spans are bound to the engine's
 // scratch vectors once per run and only the values are rewritten;
-// price/capacity refreshes happen on hour boundaries so routers can
-// replay their hour-scoped plans across sub-hourly steps; the distance
-// metrics walk only the allocation's nonzero entries; and the realized
-// 95th percentiles stream through an exact top-K sketch instead of
-// retaining the full per-step load history.
+// capacity refreshes happen on hour boundaries and prices on the
+// market's native interval, so routers can replay their plans across
+// the steps in between; the distance metrics walk only the
+// allocation's nonzero entries; and the realized 95th percentiles
+// stream through an exact top-K sketch instead of retaining the full
+// per-step load history.
 
 #include <cstdint>
 #include <functional>
@@ -80,16 +81,33 @@ struct EngineConfig {
   obs::Taps taps;
 };
 
+/// The routing delay resolved to native market intervals: `delay_steps`
+/// when > 0, else `delay_hours` whole hours of `samples_per_hour`
+/// intervals. Both knobs name the same quantity - delay_hours = h reads
+/// exactly the settlement h * samples_per_hour intervals back - so every
+/// path resolves them here once and reads routing prices through this
+/// one count.
+[[nodiscard]] constexpr int delay_intervals(int delay_hours, int delay_steps,
+                                            int samples_per_hour) noexcept {
+  return delay_steps > 0 ? delay_steps : delay_hours * samples_per_hour;
+}
+
+/// The price window a run over `workload` reads: the workload hours plus
+/// the front margin the delayed routing price reaches back, `delay`
+/// native intervals rounded up to whole hours.
+[[nodiscard]] constexpr Period priced_window(Period workload, int delay,
+                                             int samples_per_hour) noexcept {
+  const int margin_hours = (delay + samples_per_hour - 1) / samples_per_hour;
+  return Period{workload.begin - margin_hours, workload.end};
+}
+
 /// Per-interval, per-cluster energy in one flat row-major buffer (one
 /// allocation per run instead of one vector per row). Rows are metering
-/// intervals relative to the recorded workload period: hourly by
-/// default (the historical layout), or `samples_per_hour` rows per hour
-/// when constructed for a sub-hourly meter.
+/// intervals relative to the recorded workload period: `samples_per_hour`
+/// rows per hour (1 = the historical hourly layout).
 class HourlyEnergy {
  public:
   HourlyEnergy() = default;
-  HourlyEnergy(std::size_t hours, std::size_t clusters)
-      : clusters_(clusters), data_(hours * clusters, 0.0) {}
   HourlyEnergy(std::size_t hours, int samples_per_hour, std::size_t clusters)
       : clusters_(clusters),
         samples_per_hour_(samples_per_hour),
@@ -216,8 +234,6 @@ class SimulationEngine {
     [[nodiscard]] bool done() const noexcept;
     [[nodiscard]] std::int64_t steps_done() const noexcept;
     [[nodiscard]] std::int64_t steps_total() const noexcept;
-    /// The hour the next step falls in (the last step's hour once done).
-    [[nodiscard]] HourIndex current_hour() const noexcept;
 
     /// Primary dollar/energy accounting accumulated so far (rolling
     /// telemetry between steps; equals the final totals once done).

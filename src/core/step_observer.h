@@ -35,12 +35,6 @@ struct RunInfo {
   Period period;
   int steps_per_hour = 1;         ///< accounting steps per hour
   int price_samples_per_hour = 1; ///< native billing-price interval (1 = hourly)
-
-  /// Price intervals in the run (the natural row count for metering at
-  /// the native interval).
-  [[nodiscard]] std::int64_t price_intervals() const noexcept {
-    return period.hours() * price_samples_per_hour;
-  }
 };
 
 /// Read-only view of one accounted simulation step.

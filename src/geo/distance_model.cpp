@@ -27,10 +27,6 @@ DistanceModel::DistanceModel(std::span<const StateInfo> states,
   }
 }
 
-DistanceModel DistanceModel::for_sites(std::span<const LatLon> sites) {
-  return DistanceModel(StateRegistry::instance().all(), sites);
-}
-
 Km DistanceModel::distance(StateId state, std::size_t site) const {
   if (!state.valid() || state.index() >= state_count_ || site >= site_count_) {
     throw std::out_of_range("DistanceModel::distance");

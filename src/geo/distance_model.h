@@ -23,9 +23,6 @@ class DistanceModel {
   /// Builds the matrix for every state in `states` against every site.
   DistanceModel(std::span<const StateInfo> states, std::span<const LatLon> sites);
 
-  /// Convenience: all registry states against the given sites.
-  static DistanceModel for_sites(std::span<const LatLon> sites);
-
   [[nodiscard]] std::size_t state_count() const noexcept { return state_count_; }
   [[nodiscard]] std::size_t site_count() const noexcept { return site_count_; }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <deque>
+#include <mutex>
 #include <utility>
 
 #include "core/experiment.h"
@@ -27,6 +28,13 @@ struct Server::Impl {
   SubscriberHub hub;
   std::unique_ptr<HttpMetricsServer> http;
   std::atomic<bool> stopping{false};
+
+  // The feed connection serve() is reading. stop() shuts it down, so a
+  // read blocked on an idle feeder returns at once instead of at
+  // read_timeout_ms. Only serve() assigns or closes it, both under
+  // feed_mu, and owning it here keeps the handle valid for stop().
+  std::mutex feed_mu;
+  Socket feed;
 
   // Session state (all touched only by the serve() thread).
   std::optional<core::Fixture> fixture;
@@ -294,10 +302,16 @@ struct Server::Impl {
         break;  // listener failure
       }
       if (!sock) break;  // woken by stop()
+      {
+        const std::lock_guard<std::mutex> lock(feed_mu);
+        feed = std::move(*sock);
+        if (stopping.load(std::memory_order_relaxed)) feed.shutdown();
+      }
       ++report.ingest_connections;
       m_connections.add();
+      bool complete = false;
       try {
-        if (handle_connection(*sock)) break;
+        complete = handle_connection(feed);
       } catch (const TimeoutError& e) {
         protocol_error(std::string("read timeout: ") + e.what());
       } catch (const WireError& e) {
@@ -313,6 +327,11 @@ struct Server::Impl {
       } catch (const std::logic_error& e) {
         protocol_error(e.what());
       }
+      {
+        const std::lock_guard<std::mutex> lock(feed_mu);
+        feed.close();
+      }
+      if (complete) break;
     }
     report.subscribers_connected = hub.total_connected();
     report.subscriber_dropped_frames = hub.dropped_frames();
@@ -342,6 +361,10 @@ ServerReport Server::serve() { return impl_->serve(); }
 void Server::stop() {
   if (!impl_) return;
   impl_->stopping.store(true, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(impl_->feed_mu);
+    impl_->feed.shutdown();
+  }
   impl_->ingest_listener.wake();
   impl_->hub.stop();
   if (impl_->http) impl_->http->stop();

@@ -117,10 +117,10 @@ class Server {
   /// completes or stop() is called. Returns the session report.
   [[nodiscard]] ServerReport serve();
 
-  /// Thread-safe. Wakes every listener, so an idle serve() (waiting
-  /// for a feeder to connect) returns at once. A feed connection in
-  /// progress is not interrupted: serve() returns once its current
-  /// read does, within ~read_timeout_ms.
+  /// Thread-safe. Wakes every listener and shuts down the feed
+  /// connection being served, so serve() returns at once whether it
+  /// waits for a feeder or reads one; the unfinished session reports no
+  /// result.
   void stop();
 
  private:

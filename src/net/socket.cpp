@@ -90,6 +90,10 @@ void Socket::close() noexcept {
   }
 }
 
+void Socket::shutdown() noexcept {
+  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
+}
+
 std::size_t Socket::read_some(void* data, std::size_t size, int timeout_ms) {
   if (fd_ < 0) throw NetError("read on a closed socket");
   if (!wait_ready(fd_, POLLIN, timeout_ms, "read")) {

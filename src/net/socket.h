@@ -49,6 +49,12 @@ class Socket {
   [[nodiscard]] int fd() const noexcept { return fd_; }
   void close() noexcept;
 
+  /// Ends both directions of the connection but keeps the handle: a
+  /// read waiting on this socket in another thread returns end-of-stream
+  /// at once. Safe to call while another thread reads or writes the
+  /// socket (close() is not).
+  void shutdown() noexcept;
+
   /// Reads 1..`size` bytes, waiting at most `timeout_ms` for the first
   /// byte. Returns 0 on orderly peer close. Throws TimeoutError on
   /// deadline, NetError on socket failure or a closed/invalid handle.

@@ -9,6 +9,22 @@
 
 namespace cebis::service {
 
+core::ScenarioSpec spec_of(const SessionMeta& meta) {
+  if (meta.samples_per_hour < 1 || !divides_hour(meta.samples_per_hour)) {
+    throw std::invalid_argument("SessionMeta: samples_per_hour must divide 60");
+  }
+  core::ScenarioSpec spec;
+  spec.router = meta.router;
+  spec.config = meta.router_config;
+  spec.energy = meta.energy;
+  spec.enforce_p95 = meta.enforce_p95;
+  spec.delay_hours = meta.delay_hours;
+  spec.delay_steps = meta.delay_steps;
+  spec.market_interval_minutes = 60 / meta.samples_per_hour;
+  spec.storage = meta.storage;
+  return spec;
+}
+
 namespace {
 
 using codec::Parser;

@@ -80,6 +80,12 @@ struct SessionMeta {
   std::optional<core::StorageSpec> storage;
 };
 
+/// The ScenarioSpec a session runs: what the live engine and replay
+/// both build the clusters, router and engine from (core::engine_recipe),
+/// so the two construct identical environments. Throws
+/// std::invalid_argument when samples_per_hour does not divide 60.
+[[nodiscard]] core::ScenarioSpec spec_of(const SessionMeta& meta);
+
 struct PriceTickRecord {
   HubId hub;
   std::int64_t interval = 0;  ///< absolute native interval (hour*sph + sub)

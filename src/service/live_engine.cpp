@@ -15,24 +15,6 @@ namespace cebis::service {
 
 namespace {
 
-/// The ScenarioSpec equivalent of a LiveConfig - what the scenario
-/// runner would build the clusters/router from, so live construction
-/// and batch replay go through the identical factories.
-core::ScenarioSpec spec_of(const LiveConfig& config) {
-  core::ScenarioSpec spec;
-  spec.router = config.router;
-  spec.config = config.router_config;
-  spec.energy = config.energy;
-  spec.enforce_p95 = config.enforce_p95;
-  spec.delay_hours = config.delay_hours;
-  spec.delay_steps = config.delay_steps;
-  if (config.samples_per_hour < 1 || !divides_hour(config.samples_per_hour)) {
-    throw std::invalid_argument("LiveEngine: samples_per_hour must divide 60");
-  }
-  spec.market_interval_minutes = 60 / config.samples_per_hour;
-  return spec;
-}
-
 /// Records each step's routing decision (per-cluster routed load) and,
 /// when storage is engaged, the batteries' state-of-charge deltas.
 /// Attached last, after the StorageController, so the deltas reflect
@@ -208,46 +190,45 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
   if (config_.period.hours() <= 0) {
     throw std::invalid_argument("LiveEngine: empty period");
   }
-  const core::ScenarioSpec spec = spec_of(config_);
-  const core::RouterRegistry& registry = core::RouterRegistry::instance();
-  const core::RouterEntry& entry = registry.at(spec.router);
-  const bool enforce = spec.enforce_p95 && !entry.forces_relaxed_p95;
-
-  std::vector<core::Cluster> clusters =
-      entry.clusters ? entry.clusters(fixture, spec) : fixture.clusters;
-
-  // The priced window: the workload period plus the front margin the
-  // delayed routing price reads (mirrors the scenario runner).
-  const int sph = config_.samples_per_hour;
-  const int margin = spec.delay_steps > 0
-                         ? (spec.delay_steps + sph - 1) / sph
-                         : spec.delay_hours;
-  const Period priced{config_.period.begin - margin, config_.period.end};
+  // The meta comes first: the session's spec is built from it through
+  // the same spec_of() replay applies to the logged copy, so live and
+  // replay resolve one spec into one engine recipe.
+  meta_.seed = fixture.seed;
+  meta_.router = config_.router;
+  meta_.router_config = config_.router_config;
+  meta_.period = config_.period;
+  meta_.steps_per_hour = config_.steps_per_hour;
+  meta_.samples_per_hour = config_.samples_per_hour;
+  meta_.delay_hours = config_.delay_hours;
+  meta_.delay_steps = config_.delay_steps;
+  meta_.enforce_p95 = config_.enforce_p95;
+  meta_.n_states = static_cast<std::uint32_t>(fixture.trace.state_count());
+  meta_.energy = config_.energy;
+  meta_.record_hourly_energy = config_.record_hourly_energy;
+  meta_.storage = config_.storage;
+  const core::ScenarioSpec spec = spec_of(meta_);
+  core::EngineRecipe recipe = core::engine_recipe(fixture, spec);
+  recipe.config.taps = config_.taps;
+  meta_.n_clusters = static_cast<std::uint32_t>(recipe.clusters.size());
 
   std::vector<HubId> tracked;
-  tracked.reserve(clusters.size());
-  for (const core::Cluster& c : clusters) tracked.push_back(c.hub);
-
-  core::EngineConfig cfg;
-  cfg.energy = spec.energy;
-  cfg.delay_hours = spec.delay_hours;
-  cfg.delay_steps = spec.delay_steps;
-  cfg.enforce_p95 = enforce;
-  cfg.taps = config_.taps;
+  tracked.reserve(recipe.clusters.size());
+  for (const core::Cluster& c : recipe.clusters) tracked.push_back(c.hub);
 
   impl_ = std::make_unique<Impl>(
-      market::TickAssembler(priced, sph,
+      market::TickAssembler(core::priced_window_of(config_.period, spec),
+                            config_.samples_per_hour,
                             market::HubRegistry::instance().size(),
                             std::move(tracked)),
       PushWorkload(config_.period, config_.steps_per_hour,
                    fixture.trace.state_count()),
-      std::move(clusters), fixture, cfg);
+      std::move(recipe.clusters), fixture, recipe.config);
   Impl& im = *impl_;
   im.log = log;
   im.telemetry = LiveTelemetry{RollingEstimators(config_.telemetry_ewma_alpha),
                                RollingEstimators(config_.telemetry_ewma_alpha)};
 
-  im.router = entry.make(fixture, spec);
+  im.router = recipe.entry->make(fixture, spec);
   im.tracer = config_.taps.tracer;
   if (config_.taps.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config_.taps.metrics;
@@ -277,9 +258,9 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
         std::make_unique<core::HourlyEnergyRecorder>(/*native_intervals=*/true);
     im.observers.push_back(im.recorder.get());
   }
-  if (config_.storage.has_value()) {
+  if (spec.storage.has_value()) {
     im.controller = std::make_unique<storage::StorageController>(
-        *config_.storage, config_.taps.metrics);
+        *spec.storage, config_.taps.metrics);
     im.observers.push_back(im.controller.get());
   }
   if (log != nullptr) {
@@ -287,21 +268,6 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
         std::make_unique<EventLogObserver>(*log, im.controller.get());
     im.observers.push_back(im.log_observer.get());
   }
-
-  meta_.seed = fixture.seed;
-  meta_.router = config_.router;
-  meta_.router_config = config_.router_config;
-  meta_.period = config_.period;
-  meta_.steps_per_hour = config_.steps_per_hour;
-  meta_.samples_per_hour = config_.samples_per_hour;
-  meta_.delay_hours = config_.delay_hours;
-  meta_.delay_steps = config_.delay_steps;
-  meta_.enforce_p95 = config_.enforce_p95;
-  meta_.n_states = static_cast<std::uint32_t>(im.workload.state_count());
-  meta_.n_clusters = static_cast<std::uint32_t>(im.engine.clusters().size());
-  meta_.energy = config_.energy;
-  meta_.record_hourly_energy = config_.record_hourly_energy;
-  meta_.storage = config_.storage;
 
   // The meta frame leads the log (and doubles as eager validation that
   // the session is loggable - the writer rejects non-round-trippable
@@ -311,15 +277,15 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
   im.session.emplace(im.engine.begin(im.workload, *im.router, im.observers));
 
   if (config_.shadow_baseline) {
-    const core::RouterEntry& baseline = registry.at("baseline");
     core::ScenarioSpec baseline_spec = spec;
     baseline_spec.router = "baseline";
     baseline_spec.config = std::monostate{};
-    core::EngineConfig shadow_cfg = cfg;
-    shadow_cfg.enforce_p95 = false;  // the baseline defines the reference
+    core::EngineRecipe shadow = core::engine_recipe(fixture, baseline_spec);
+    shadow.config.taps = config_.taps;
     im.shadow_engine = std::make_unique<core::SimulationEngine>(
-        fixture.clusters, im.assembler.set(), fixture.distances, shadow_cfg);
-    im.shadow_router = baseline.make(fixture, baseline_spec);
+        std::move(shadow.clusters), im.assembler.set(), fixture.distances,
+        shadow.config);
+    im.shadow_router = shadow.entry->make(fixture, baseline_spec);
     im.shadow_session.emplace(
         im.shadow_engine->begin(im.workload, *im.shadow_router, {}));
   }

@@ -13,25 +13,6 @@
 
 namespace cebis::service {
 
-namespace {
-
-core::ScenarioSpec spec_of(const SessionMeta& meta) {
-  core::ScenarioSpec spec;
-  spec.router = meta.router;
-  spec.config = meta.router_config;
-  spec.energy = meta.energy;
-  spec.enforce_p95 = meta.enforce_p95;
-  spec.delay_hours = meta.delay_hours;
-  spec.delay_steps = meta.delay_steps;
-  if (meta.samples_per_hour < 1 || !divides_hour(meta.samples_per_hour)) {
-    throw std::invalid_argument("replay: samples_per_hour must divide 60");
-  }
-  spec.market_interval_minutes = 60 / meta.samples_per_hour;
-  return spec;
-}
-
-}  // namespace
-
 core::RunResult replay(const core::Fixture& fixture,
                        const RecordedSession& session) {
   const SessionMeta& meta = session.meta;
@@ -43,15 +24,10 @@ core::RunResult replay(const core::Fixture& fixture,
   }
 
   const core::ScenarioSpec spec = spec_of(meta);
-  const core::RouterRegistry& registry = core::RouterRegistry::instance();
-  const core::RouterEntry& entry = registry.at(spec.router);
-  const bool enforce = spec.enforce_p95 && !entry.forces_relaxed_p95;
-
-  std::vector<core::Cluster> clusters =
-      entry.clusters ? entry.clusters(fixture, spec) : fixture.clusters;
-  if (clusters.size() != meta.n_clusters) {
+  core::EngineRecipe recipe = core::engine_recipe(fixture, spec);
+  if (recipe.clusters.size() != meta.n_clusters) {
     throw std::invalid_argument(
-        "replay: fixture resolves " + std::to_string(clusters.size()) +
+        "replay: fixture resolves " + std::to_string(recipe.clusters.size()) +
         " clusters, the session recorded " + std::to_string(meta.n_clusters));
   }
   if (fixture.trace.state_count() != meta.n_states) {
@@ -62,15 +38,11 @@ core::RunResult replay(const core::Fixture& fixture,
 
   // Rebuild the price set from the recorded ticks - the same assembly
   // the live session performed, over the same priced window.
-  const int sph = meta.samples_per_hour;
-  const int margin = meta.delay_steps > 0
-                         ? (meta.delay_steps + sph - 1) / sph
-                         : meta.delay_hours;
-  const Period priced{meta.period.begin - margin, meta.period.end};
+  const Period priced = core::priced_window_of(meta.period, spec);
   std::vector<HubId> tracked;
-  tracked.reserve(clusters.size());
-  for (const core::Cluster& c : clusters) tracked.push_back(c.hub);
-  market::TickAssembler assembler(priced, sph,
+  tracked.reserve(recipe.clusters.size());
+  for (const core::Cluster& c : recipe.clusters) tracked.push_back(c.hub);
+  market::TickAssembler assembler(priced, meta.samples_per_hour,
                                   market::HubRegistry::instance().size(),
                                   std::move(tracked));
   for (const PriceTickRecord& tick : session.ticks) {
@@ -93,14 +65,11 @@ core::RunResult replay(const core::Fixture& fixture,
     workload.push(rec.demand);
   }
 
-  core::EngineConfig cfg;
-  cfg.energy = spec.energy;
-  cfg.delay_hours = spec.delay_hours;
-  cfg.delay_steps = spec.delay_steps;
-  cfg.enforce_p95 = enforce;
-  const core::SimulationEngine engine(std::move(clusters), assembler.set(),
-                                      fixture.distances, cfg);
-  const std::unique_ptr<core::Router> router = entry.make(fixture, spec);
+  const core::SimulationEngine engine(std::move(recipe.clusters),
+                                      assembler.set(), fixture.distances,
+                                      recipe.config);
+  const std::unique_ptr<core::Router> router =
+      recipe.entry->make(fixture, spec);
 
   // Observer parity with the live session: recorder then controller,
   // the order the LiveEngine attached them in (its log observer wrote
@@ -113,8 +82,8 @@ core::RunResult replay(const core::Fixture& fixture,
         std::make_unique<core::HourlyEnergyRecorder>(/*native_intervals=*/true);
     observers.push_back(recorder.get());
   }
-  if (meta.storage.has_value()) {
-    controller = std::make_unique<storage::StorageController>(*meta.storage);
+  if (spec.storage.has_value()) {
+    controller = std::make_unique<storage::StorageController>(*spec.storage);
     observers.push_back(controller.get());
   }
 

@@ -7,17 +7,22 @@
 //   delay_steps = 1                 !=  delay_hours = 1
 //     (reacting to the previous 5-minute settlement genuinely reroutes)
 //
-// plus the engine-level validation and the sweep runner's engine-key
-// separation (a delay_steps run may not share a cached engine with a
-// delay_hours run).
+// plus, on every market resolution, delay_hours = h == delay_steps =
+// h * samples_per_hour for the whole RunResult (the engine resolves both
+// knobs to one count of native intervals), the engine-level validation
+// and the sweep runner's engine keys (runs with different resolved
+// delays never share a cached engine; equal ones do).
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "core/experiment.h"
+#include "service/replay.h"
 #include "test_support.h"
 
 namespace cebis::core {
@@ -105,6 +110,66 @@ TEST_F(DelayStepsTest, SweepKeysDelayStepsEnginesSeparately) {
                         runs[2].total_cost.value()));
   EXPECT_NE(runs[0].total_cost.value(), runs[1].total_cost.value());
 }
+
+TEST_F(DelayStepsTest, SweepSharesOneEngineForEqualResolvedDelays) {
+  // delay_hours = 1 and delay_steps = 12 name the same routing delay on
+  // the 5-minute market, so the sweep builds one engine for both.
+  ScenarioSpec hour_delay = five_minute_spec();
+  ScenarioSpec step_delay = five_minute_spec();
+  step_delay.delay_steps = 12;
+
+  SweepStats stats;
+  const ScenarioSpec sweep[] = {hour_delay, step_delay};
+  const auto runs = run_scenarios(*fixture_, sweep, &stats);
+  EXPECT_EQ(stats.engines_built, 1u);
+  EXPECT_EQ(service::diff_run_results(runs[0], runs[1]), "");
+}
+
+/// (market_interval_minutes, delay_hours, workload).
+using DelayCase = std::tuple<int, int, WorkloadKind>;
+
+class DelayKnobEquivalence : public DelayStepsTest,
+                             public ::testing::WithParamInterface<DelayCase> {};
+
+TEST_P(DelayKnobEquivalence, HourDelayEqualsItsIntervalCount) {
+  const auto [minutes, hours, workload] = GetParam();
+  ScenarioSpec by_hours = five_minute_spec();
+  by_hours.market_interval_minutes = minutes;
+  by_hours.workload = workload;
+  if (workload == WorkloadKind::kSynthetic39Month) {
+    // Three weeks of hourly steps: coarser than a sub-hourly market, so
+    // the engine takes the step-mean price path.
+    const HourIndex begin = month_begin(30) + 197;
+    by_hours.synthetic_window = Period{begin, begin + 24 * 21};
+  }
+  by_hours.delay_hours = hours;
+  ScenarioSpec by_steps = by_hours;
+  by_steps.delay_hours = 0;
+  by_steps.delay_steps = hours * (60 / minutes);
+
+  const RunResult a = run_scenario(*fixture_, by_hours);
+  const RunResult b = run_scenario(*fixture_, by_steps);
+  EXPECT_EQ(service::diff_run_results(a, b), "");
+  EXPECT_GT(a.total_cost.value(), 0.0);
+}
+
+std::string delay_case_name(const ::testing::TestParamInfo<DelayCase>& info) {
+  const auto [minutes, hours, workload] = info.param;
+  return std::to_string(minutes) + "min_" + std::to_string(hours) + "h_" +
+         (workload == WorkloadKind::kTrace24Day ? "trace" : "hourly");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MarketsAndDelays, DelayKnobEquivalence,
+    ::testing::Values(DelayCase{60, 1, WorkloadKind::kTrace24Day},
+                      DelayCase{60, 2, WorkloadKind::kTrace24Day},
+                      DelayCase{15, 1, WorkloadKind::kTrace24Day},
+                      DelayCase{15, 2, WorkloadKind::kTrace24Day},
+                      DelayCase{5, 1, WorkloadKind::kTrace24Day},
+                      DelayCase{5, 2, WorkloadKind::kTrace24Day},
+                      DelayCase{5, 1, WorkloadKind::kSynthetic39Month},
+                      DelayCase{5, 2, WorkloadKind::kSynthetic39Month}),
+    delay_case_name);
 
 TEST_F(DelayStepsTest, ValidatesTheConfiguration) {
   // Negative lag is meaningless.

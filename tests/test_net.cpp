@@ -1028,5 +1028,27 @@ TEST_F(NetLoopbackTest, IdleServerStopReturnsPromptly) {
   EXPECT_EQ(report.ingest_connections, 0);
 }
 
+TEST_F(NetLoopbackTest, StopDuringOpenFeedReturnsPromptly) {
+  // A feeder that connected and then went quiet holds serve() in a
+  // read; stop() must end that read instead of waiting out the read
+  // deadline (set far beyond the bound so a missed wake-up fails).
+  test::TempFile server_log("net_open_feed_stop.eventlog");
+  ServerOptions options = loopback_options(server_log.path());
+  options.read_timeout_ms = 10000;
+  ServerHarness harness(options);
+  RawFeeder feeder(harness.server().ingest_port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto t0 = std::chrono::steady_clock::now();
+  const ServerReport report = harness.stop_and_join();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(
+      std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
+      2000);
+  EXPECT_FALSE(report.result.has_value());
+  EXPECT_EQ(report.ingest_connections, 1);
+  EXPECT_EQ(report.protocol_errors, 0);
+  EXPECT_TRUE(feeder.server_closed());
+}
+
 }  // namespace
 }  // namespace cebis::net

@@ -435,7 +435,7 @@ std::vector<core::ScenarioSpec> mixed_specs() {
   }
   {
     ScenarioSpec st = base;
-    st.router = "price_aware+storage";
+    st.router = "price-aware";
     st.config = core::PriceAwareConfig{.distance_threshold = Km{1500.0}};
     core::StorageSpec storage;
     storage.battery = storage::battery_for_mean_load(0.2, 4.0);

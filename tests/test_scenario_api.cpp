@@ -301,7 +301,7 @@ TEST_F(ScenarioApiTest, ParallelSweepMatchesSerialByteForByte) {
   }
   {
     ScenarioSpec st = base;
-    st.router = "price_aware+storage";
+    st.router = "price-aware";
     st.config = PriceAwareConfig{.distance_threshold = Km{1500.0}};
     StorageSpec storage;
     storage.battery = storage::battery_for_mean_load(0.2, 4.0);
@@ -523,7 +523,7 @@ TEST_F(ScenarioApiTest, StackedObserversMatchSoloRuns) {
 }
 
 TEST_F(ScenarioApiTest, HourlyEnergyLayout) {
-  HourlyEnergy e(3, 2);
+  HourlyEnergy e(3, 1, 2);
   EXPECT_EQ(e.hours(), 3u);
   EXPECT_EQ(e.clusters(), 2u);
   e.at(1, 0) = 4.0;

@@ -241,7 +241,7 @@ TEST(StorageMetering, MidMonthScenarioRunThroughThePipeline) {
   const core::Fixture fixture = core::Fixture::make(test::kTestSeed);
   const HourIndex mid = month_begin(30) + 197;  // mid-July 2008
   core::ScenarioSpec spec{
-      .router = "price_aware+storage",
+      .router = "price-aware",
       .config = core::PriceAwareConfig{.distance_threshold = Km{1500.0}},
       .energy = energy::google_params(),
       .workload = core::WorkloadKind::kSynthetic39Month,

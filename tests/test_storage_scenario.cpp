@@ -1,7 +1,7 @@
 // End-to-end battery storage: the StorageController observer driven
 // both standalone (synthetic price/load traces - the arbitrage
 // never-loses-money property) and through the ScenarioSpec pipeline
-// ("price_aware+storage" registry entry, zero-capacity baselines,
+// (storage on a price-aware spec, zero-capacity baselines,
 // peak shaving's demand-charge reduction, sweep determinism).
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/router_registry.h"
 #include "storage/storage_controller.h"
 #include "test_support.h"
 
@@ -30,7 +29,7 @@ class StorageScenarioTest : public ::testing::Test {
 
   static core::ScenarioSpec storage_spec() {
     core::ScenarioSpec spec{
-        .router = "price_aware+storage",
+        .router = "price-aware",
         .config = core::PriceAwareConfig{.distance_threshold = Km{1500.0}},
         .energy = energy::google_params(),
         .workload = core::WorkloadKind::kTrace24Day,
@@ -213,13 +212,6 @@ TEST(StorageController, RejectsBadSpecs) {
 
 // --- through the scenario pipeline ------------------------------------------
 
-TEST_F(StorageScenarioTest, RegistryEntryRequiresStorageSpec) {
-  EXPECT_TRUE(core::RouterRegistry::instance().contains("price_aware+storage"));
-  core::ScenarioSpec spec = storage_spec();
-  spec.storage.reset();
-  EXPECT_THROW((void)core::run_scenario(*fixture_, spec), std::invalid_argument);
-}
-
 TEST_F(StorageScenarioTest, RefusesRoutingPriceOverrides) {
   // Under a routing_prices override the billing price is a synthetic
   // objective - a tariff billed in those units would be nonsense, so
@@ -227,23 +219,6 @@ TEST_F(StorageScenarioTest, RefusesRoutingPriceOverrides) {
   core::ScenarioSpec spec = storage_spec();
   spec.routing_prices = &fixture_->prices();
   EXPECT_THROW((void)core::run_scenario(*fixture_, spec), std::invalid_argument);
-}
-
-TEST_F(StorageScenarioTest, RoutesExactlyLikePriceAware) {
-  // The battery sits behind the meter: routing, energy and the engine's
-  // own wholesale accounting are identical to plain "price-aware".
-  const core::ScenarioSpec with_storage = storage_spec();
-  core::ScenarioSpec plain = with_storage;
-  plain.router = "price-aware";
-  plain.storage.reset();
-
-  const core::RunResult a = core::run_scenario(*fixture_, with_storage);
-  const core::RunResult b = core::run_scenario(*fixture_, plain);
-  EXPECT_EQ(a.total_cost.value(), b.total_cost.value());
-  EXPECT_EQ(a.total_energy.value(), b.total_energy.value());
-  EXPECT_EQ(a.mean_distance_km, b.mean_distance_km);
-  EXPECT_TRUE(a.storage.engaged);
-  EXPECT_FALSE(b.storage.engaged);
 }
 
 TEST_F(StorageScenarioTest, ZeroCapacityMetersRawEqualsNet) {

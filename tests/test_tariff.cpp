@@ -21,7 +21,7 @@ TEST(Tariff, FlatEnergyOnly) {
   t.energy_adder = UsdPerMwh{40.0};
   const Period p{0, 4};
   const std::vector<double> mwh = {1.0, 2.0, 0.5, 0.0};
-  const TariffBill bill = bill_hourly_load(t, p, mwh);
+  const TariffBill bill = bill_interval_load(t, p, 1, mwh);
   EXPECT_NEAR(bill.energy.value(), 40.0 * 3.5, test::kNumericTol);
   EXPECT_DOUBLE_EQ(bill.demand.value(), 0.0);
   EXPECT_TRUE(bill.months.empty());
@@ -34,7 +34,7 @@ TEST(Tariff, WholesaleIndexedEnergyWithAdder) {
   const Period p{0, 3};
   const std::vector<double> mwh = {1.0, 1.0, 2.0};
   const std::vector<double> spot = {30.0, 50.0, 20.0};
-  const TariffBill bill = bill_hourly_load(t, p, mwh, spot);
+  const TariffBill bill = bill_interval_load(t, p, 1, mwh, spot);
   EXPECT_NEAR(bill.energy.value(), 35.0 + 55.0 + 2.0 * 25.0, test::kNumericTol);
 }
 
@@ -46,7 +46,7 @@ TEST(Tariff, DemandChargeBillsTheMonthlyPeak) {
   const Period p{0, 100};
   std::vector<double> mwh(100, 0.5);
   mwh[42] = 2.0;  // peak: 2 MWh in one hour = 2000 kW
-  const TariffBill bill = bill_hourly_load(t, p, mwh);
+  const TariffBill bill = bill_interval_load(t, p, 1, mwh);
   ASSERT_EQ(bill.months.size(), 1u);
   EXPECT_EQ(bill.months[0].month_index, 0);
   EXPECT_NEAR(bill.months[0].billed_kw, 2000.0, test::kNumericTol);
@@ -63,7 +63,7 @@ TEST(Tariff, DemandSplitsByCalendarMonth) {
   std::vector<double> mwh(12, 1.0);
   mwh[2] = 3.0;   // still January (hour 742)
   mwh[10] = 2.0;  // February (hour 750)
-  const TariffBill bill = bill_hourly_load(t, p, mwh);
+  const TariffBill bill = bill_interval_load(t, p, 1, mwh);
   ASSERT_EQ(bill.months.size(), 2u);
   EXPECT_EQ(bill.months[0].month_index, 0);
   EXPECT_NEAR(bill.months[0].billed_kw, 3000.0, test::kNumericTol);
@@ -88,12 +88,12 @@ TEST(Tariff, PercentileDemandComposesWithBilledRateP95) {
     mwh.push_back(load);
     kw.push_back(load * 1000.0);
   }
-  const TariffBill bill = bill_hourly_load(t, p, mwh);
+  const TariffBill bill = bill_interval_load(t, p, 1, mwh);
   ASSERT_EQ(bill.months.size(), 1u);
   EXPECT_NEAR(bill.months[0].billed_kw, billed_rate_p95(kw), test::kNumericTol);
   // The percentile meter never exceeds the true peak.
   t.demand_percentile = 100.0;
-  const TariffBill peak = bill_hourly_load(t, p, mwh);
+  const TariffBill peak = bill_interval_load(t, p, 1, mwh);
   EXPECT_LE(bill.months[0].billed_kw, peak.months[0].billed_kw);
 }
 
@@ -103,25 +103,28 @@ TEST(Tariff, Validation) {
   const std::vector<double> mwh = {1.0, 1.0};
   const std::vector<double> spot = {10.0, 10.0};
   // Length mismatch.
-  EXPECT_THROW((void)bill_hourly_load(t, Period{0, 3}, mwh, spot),
+  EXPECT_THROW((void)bill_interval_load(t, Period{0, 3}, 1, mwh, spot),
                std::invalid_argument);
   // Indexed schedule without a spot series.
-  EXPECT_THROW((void)bill_hourly_load(t, p, mwh), std::invalid_argument);
+  EXPECT_THROW((void)bill_interval_load(t, p, 1, mwh), std::invalid_argument);
   // Bad percentile / negative rates.
   t.demand_percentile = 0.0;
-  EXPECT_THROW((void)bill_hourly_load(t, p, mwh, spot), std::invalid_argument);
+  EXPECT_THROW((void)bill_interval_load(t, p, 1, mwh, spot),
+               std::invalid_argument);
   t.demand_percentile = 101.0;
-  EXPECT_THROW((void)bill_hourly_load(t, p, mwh, spot), std::invalid_argument);
+  EXPECT_THROW((void)bill_interval_load(t, p, 1, mwh, spot),
+               std::invalid_argument);
   t = TariffSchedule{};
   t.energy_adder = UsdPerMwh{-1.0};
-  EXPECT_THROW((void)bill_hourly_load(t, p, mwh, spot), std::invalid_argument);
+  EXPECT_THROW((void)bill_interval_load(t, p, 1, mwh, spot),
+               std::invalid_argument);
 }
 
 TEST(Tariff, EmptyPeriodBillsNothing) {
   TariffSchedule t;
   t.index_to_wholesale = false;
   t.demand_usd_per_kw_month = Usd{10.0};
-  const TariffBill bill = bill_hourly_load(t, Period{0, 0}, {});
+  const TariffBill bill = bill_interval_load(t, Period{0, 0}, 1, {});
   EXPECT_DOUBLE_EQ(bill.total().value(), 0.0);
   EXPECT_TRUE(bill.months.empty());
 }
