@@ -25,9 +25,10 @@ IngestStatusFrame read_status(FrameReader& reader, int timeout_ms) {
     throw NetError("server closed before sending an IngestStatus");
   }
   if (frame->type != static_cast<std::uint8_t>(NetFrameType::kIngestStatus)) {
-    throw WireError(std::string("expected IngestStatus, got ") +
-                        frame_type_name(frame->type),
-                    frame_offset);
+    throw service::EventLogError(
+        std::string("expected IngestStatus, got ") +
+            frame_type_name(frame->type),
+        frame_offset);
   }
   return decode_ingest_status(frame->payload, frame_offset);
 }
@@ -83,6 +84,7 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
   int backoff_ms = options_.initial_backoff_ms;
   for (;;) {
     ++attempts;
+    std::string failure;
     try {
       Socket sock =
           connect_to(options_.host, options_.port, options_.connect_timeout_ms);
@@ -147,22 +149,18 @@ FeedReport FeedClient::run(const service::SessionMeta& meta,
       report.final_steps_done = ack.steps_done;
       return report;
     } catch (const NetError& e) {
-      if (attempts >= options_.max_attempts) {
-        throw NetError("feed failed after " + std::to_string(attempts) +
-                       " attempts: " + e.what());
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, options_.max_backoff_ms);
+      failure = e.what();
     } catch (const service::EventLogError& e) {
       // A torn/garbled status frame: same retry discipline as a
       // connection failure.
-      if (attempts >= options_.max_attempts) {
-        throw NetError("feed failed after " + std::to_string(attempts) +
-                       " attempts: " + e.what());
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, options_.max_backoff_ms);
+      failure = e.what();
     }
+    if (attempts >= options_.max_attempts) {
+      throw NetError("feed failed after " + std::to_string(attempts) +
+                     " attempts: " + failure);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms = std::min(backoff_ms * 2, options_.max_backoff_ms);
   }
 }
 

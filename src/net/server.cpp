@@ -20,6 +20,8 @@ namespace {
 
 constexpr std::size_t kMaxEvents = 64;
 
+using service::EventLogError;
+
 }  // namespace
 
 struct Server::Impl {
@@ -108,44 +110,12 @@ struct Server::Impl {
   }
 
   void open_session(const service::SessionMeta& meta) {
-    if (options.fixture != nullptr) {
-      if (meta.seed != options.fixture->seed) {
-        throw std::invalid_argument(
-            "SessionMeta seed " + std::to_string(meta.seed) +
-            " does not match the server's pre-built fixture (seed " +
-            std::to_string(options.fixture->seed) + ")");
-      }
-    } else {
-      fixture.emplace(core::Fixture::make(meta.seed));
-    }
     const core::Fixture& fx =
-        options.fixture != nullptr ? *options.fixture : *fixture;
-    service::LiveConfig cfg;
-    cfg.router = meta.router;
-    cfg.router_config = meta.router_config;
-    cfg.period = meta.period;
-    cfg.steps_per_hour = meta.steps_per_hour;
-    cfg.samples_per_hour = meta.samples_per_hour;
-    cfg.energy = meta.energy;
-    cfg.enforce_p95 = meta.enforce_p95;
-    cfg.delay_hours = meta.delay_hours;
-    cfg.delay_steps = meta.delay_steps;
-    cfg.record_hourly_energy = meta.record_hourly_energy;
-    cfg.storage = meta.storage;
-    cfg.shadow_baseline = options.shadow_baseline;
-    cfg.telemetry_ewma_alpha = options.telemetry_ewma_alpha;
-    cfg.taps = options.taps;
+        options.fixture != nullptr
+            ? *options.fixture
+            : fixture.emplace(core::Fixture::make(meta.seed));
     log.emplace(options.log_path, options.taps);
-    live = std::make_unique<service::LiveEngine>(fx, cfg, &*log);
-    if (meta.n_states != 0 &&
-        meta.n_states != static_cast<std::uint32_t>(live->state_count())) {
-      const std::size_t built = live->state_count();
-      live.reset();
-      log.reset();
-      throw std::invalid_argument(
-          "SessionMeta names " + std::to_string(meta.n_states) +
-          " states, the fixture builds " + std::to_string(built));
-    }
+    live = std::make_unique<service::LiveEngine>(fx, meta, options, &*log);
     report.meta = live->meta();
     event("session opened: router=" + meta.router + " period=[" +
           std::to_string(meta.period.begin) + "," +
@@ -204,7 +174,7 @@ struct Server::Impl {
     const Channel channel =
         read_stream_header(sock, options.read_timeout_ms);
     if (channel != Channel::kIngest) {
-      throw WireError("ingest port got a non-ingest channel", 0);
+      throw EventLogError("ingest port got a non-ingest channel", 0);
     }
     write_frame(sock, static_cast<std::uint8_t>(NetFrameType::kIngestStatus),
                 encode_ingest_status(status()), options.write_timeout_ms);
@@ -223,7 +193,7 @@ struct Server::Impl {
       if (frame->type == static_cast<std::uint8_t>(NetFrameType::kFeedEnd)) {
         pump();
         if (live == nullptr || !live->done() || !pending.empty()) {
-          throw WireError(
+          throw EventLogError(
               "feed ended before the session completed (" +
                   std::to_string(live ? live->steps_done() : 0) + " of " +
                   std::to_string(live ? live->steps_total() : 0) +
@@ -246,43 +216,42 @@ struct Server::Impl {
           frame->type, frame->payload, frame_offset);
       if (const auto* meta = std::get_if<service::SessionMeta>(&record)) {
         if (live != nullptr) {
-          throw WireError("SessionMeta on an already-open session",
-                          frame_offset);
+          throw EventLogError("SessionMeta on an already-open session",
+                              frame_offset);
         }
         open_session(*meta);
-      } else if (const auto* tick =
-                     std::get_if<service::PriceTickRecord>(&record)) {
-        if (live == nullptr) {
-          throw WireError("PriceTick before SessionMeta", frame_offset);
-        }
+        continue;
+      }
+      const auto* tick = std::get_if<service::PriceTickRecord>(&record);
+      const auto* step = std::get_if<service::WorkloadStepRecord>(&record);
+      const char* name = service::record_type_name(frame->type);
+      if (tick == nullptr && step == nullptr) {
+        // RoutingDecision / StorageAction are server OUTPUTS; a feeder
+        // sending one is confused.
+        throw EventLogError(
+            std::string("unexpected ") + name + " frame on the ingest channel",
+            frame_offset);
+      }
+      if (live == nullptr) {
+        throw EventLogError(std::string(name) + " before SessionMeta",
+                            frame_offset);
+      }
+      if (tick != nullptr) {
         live->on_price_tick(tick->hub, tick->interval, tick->price);
         ++report.ticks_ingested;
-        pump();
-      } else if (const auto* step =
-                     std::get_if<service::WorkloadStepRecord>(&record)) {
-        if (live == nullptr) {
-          throw WireError("WorkloadStep before SessionMeta", frame_offset);
-        }
+      } else {
         const std::int64_t expected =
             live->steps_done() + static_cast<std::int64_t>(pending.size());
         if (step->step != expected) {
-          throw WireError("WorkloadStep out of order: got step " +
-                              std::to_string(step->step) + ", expected " +
-                              std::to_string(expected),
-                          frame_offset);
+          throw EventLogError("WorkloadStep out of order: got step " +
+                                  std::to_string(step->step) + ", expected " +
+                                  std::to_string(expected),
+                              frame_offset);
         }
         pending.push_back(step->demand);
         ++report.steps_ingested;
-        pump();
-      } else {
-        // RoutingDecision / StorageAction are server OUTPUTS; a feeder
-        // sending one is confused.
-        throw WireError(
-            std::string("unexpected ") +
-                service::record_type_name(frame->type) +
-                " frame on the ingest channel",
-            frame_offset);
       }
+      pump();
     }
   }
 
@@ -314,17 +283,13 @@ struct Server::Impl {
         complete = handle_connection(feed);
       } catch (const TimeoutError& e) {
         protocol_error(std::string("read timeout: ") + e.what());
-      } catch (const WireError& e) {
-        protocol_error(e.what());
-      } catch (const service::EventLogError& e) {
+      } catch (const EventLogError& e) {
         protocol_error(e.what());
       } catch (const NetError& e) {
         protocol_error(e.what());
-      } catch (const std::invalid_argument& e) {
+      } catch (const std::logic_error& e) {
         // TickAssembler / LiveEngine rejection (out-of-order tick,
         // untracked hub, bad demand shape, unbuildable session).
-        protocol_error(e.what());
-      } catch (const std::logic_error& e) {
         protocol_error(e.what());
       }
       {

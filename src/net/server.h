@@ -23,7 +23,7 @@
 //
 // Failure discipline: a torn frame, CRC mismatch, unknown type,
 // out-of-order tick or malformed record CLOSES the connection with the
-// byte offset logged (strict reader, mirroring EventLogError) - but
+// byte offset logged (service::EventLogError, as for a log file) - but
 // the session survives, and a reconnecting feeder is handed an
 // IngestStatus resume cursor (steps advanced + per-hub next interval)
 // so it resumes without duplicating anything. TCP gives the transport
@@ -38,14 +38,13 @@
 #include "core/simulation.h"
 #include "obs/taps.h"
 #include "service/event_log.h"
-
-namespace cebis::core {
-struct Fixture;
-}
+#include "service/live_engine.h"
 
 namespace cebis::net {
 
-struct ServerOptions {
+/// The server's settings; the LiveOptions apply to every session it
+/// opens (the rest arrives in the SessionMeta frame).
+struct ServerOptions : service::LiveOptions {
   std::uint16_t ingest_port = 0;     ///< 0 = ephemeral
   std::uint16_t subscribe_port = 0;  ///< 0 = ephemeral
   std::uint16_t http_port = 0;       ///< 0 = ephemeral
@@ -61,11 +60,6 @@ struct ServerOptions {
   int write_timeout_ms = 2000;
   std::size_t subscriber_queue_capacity = 256;
 
-  /// Forwarded to LiveConfig (the rest of the session config arrives
-  /// in the SessionMeta frame).
-  bool shadow_baseline = true;
-  double telemetry_ewma_alpha = 0.1;
-
   /// Pre-built fixture to serve sessions from (not owned; must outlive
   /// the server). A SessionMeta whose seed does not match its seed is a
   /// protocol error. Null: the server builds Fixture::make(meta.seed)
@@ -75,8 +69,6 @@ struct ServerOptions {
 
   /// Print connection/protocol events to stderr.
   bool verbose = false;
-
-  obs::Taps taps;
 };
 
 struct ServerReport {

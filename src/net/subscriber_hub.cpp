@@ -103,7 +103,7 @@ struct SubscriberHub::Impl {
         if (channel != Channel::kSubscribe) continue;  // drop the connection
       } catch (const NetError&) {
         continue;
-      } catch (const WireError&) {
+      } catch (const service::EventLogError&) {
         continue;
       }
       auto sub = std::make_unique<Subscriber>();

@@ -43,41 +43,29 @@ void write_stream_header(Socket& sock, Channel channel, int timeout_ms) {
 Channel read_stream_header(Socket& sock, int timeout_ms) {
   std::array<std::uint8_t, kStreamHeaderSize> header{};
   if (!sock.read_exact(header.data(), header.size(), timeout_ms)) {
-    throw WireError("peer closed before the stream header", 0);
+    throw service::EventLogError("peer closed before the stream header", 0);
   }
   if (std::memcmp(header.data(), kNetMagic, sizeof(kNetMagic)) != 0) {
-    throw WireError("bad magic: not a cebis net stream", 0);
+    throw service::EventLogError("bad magic: not a cebis net stream", 0);
   }
   std::uint32_t version = 0;
   std::memcpy(&version, header.data() + sizeof(kNetMagic), sizeof(version));
   if (version != kNetVersion) {
-    throw WireError("unsupported net stream version " + std::to_string(version),
-                    static_cast<std::int64_t>(sizeof(kNetMagic)));
+    throw service::EventLogError(
+        "unsupported net stream version " + std::to_string(version),
+        static_cast<std::int64_t>(sizeof(kNetMagic)));
   }
   const std::uint8_t channel = header[sizeof(kNetMagic) + sizeof(version)];
   if (channel != static_cast<std::uint8_t>(Channel::kIngest) &&
       channel != static_cast<std::uint8_t>(Channel::kSubscribe)) {
-    throw WireError("unknown channel " + std::to_string(channel),
-                    static_cast<std::int64_t>(sizeof(kNetMagic) +
-                                              sizeof(version)));
+    throw service::EventLogError(
+        "unknown channel " + std::to_string(channel),
+        static_cast<std::int64_t>(sizeof(kNetMagic) + sizeof(version)));
   }
   return static_cast<Channel>(channel);
 }
 
 // --- frame I/O --------------------------------------------------------------
-
-void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
-                  const std::vector<std::uint8_t>& payload) {
-  const std::size_t start = out.size();
-  out.reserve(start + 1 + sizeof(std::uint32_t) + payload.size() +
-              sizeof(std::uint32_t));
-  put(out, type);
-  put(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc =
-      service::crc32(out.data() + start, out.size() - start);
-  put(out, crc);
-}
 
 void write_frame(Socket& sock, std::uint8_t type,
                  const std::vector<std::uint8_t>& payload, int timeout_ms) {
@@ -86,60 +74,13 @@ void write_frame(Socket& sock, std::uint8_t type,
   sock.write_all(buf.data(), buf.size(), timeout_ms);
 }
 
-bool FrameReader::fill(std::size_t n, int timeout_ms) {
-  if (buffered() >= n) return true;
-  std::memmove(buf_.data(), buf_.data() + begin_, buffered());
-  end_ -= begin_;
-  begin_ = 0;
-  if (buf_.size() < n) buf_.resize(n);
-  while (end_ < n) {
-    const std::size_t got =
-        sock_.read_some(buf_.data() + end_, buf_.size() - end_, timeout_ms);
-    if (got == 0) return false;  // peer closed
-    end_ += got;
-  }
-  return true;
-}
+FrameReader::FrameReader(Socket& sock, std::size_t max_payload)
+    : sock_(sock), frames_(0, max_payload, frame_type_name, "stream ended") {}
 
 std::optional<Frame> FrameReader::next(int timeout_ms) {
-  constexpr std::size_t kHeader = 1 + sizeof(std::uint32_t);
-  constexpr std::size_t kCrc = sizeof(std::uint32_t);
-  if (!fill(kHeader, timeout_ms)) {
-    if (buffered() == 0) return std::nullopt;  // closed on a frame boundary
-    throw WireError(
-        std::string("torn frame: stream ended inside the header of a ") +
-            frame_type_name(buf_[begin_]) + " frame",
-        offset_);
-  }
-  const std::uint8_t type = buf_[begin_];
-  std::uint32_t payload_len = 0;
-  std::memcpy(&payload_len, buf_.data() + begin_ + 1, sizeof(payload_len));
-  if (payload_len > max_payload_) {
-    throw WireError("oversized frame: " + std::to_string(payload_len) +
-                        " byte payload exceeds the " +
-                        std::to_string(max_payload_) + " byte limit",
-                    offset_);
-  }
-  const std::size_t body = kHeader + payload_len;
-  if (!fill(body + kCrc, timeout_ms)) {
-    throw WireError(std::string("torn frame: stream ended inside a ") +
-                        frame_type_name(type) + " frame",
-                    offset_);
-  }
-  const std::uint8_t* frame_begin = buf_.data() + begin_;
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, frame_begin + body, sizeof(stored_crc));
-  if (service::crc32(frame_begin, body) != stored_crc) {
-    throw WireError(std::string("CRC mismatch in a ") +
-                        frame_type_name(type) + " frame",
-                    offset_);
-  }
-  Frame frame;
-  frame.type = type;
-  frame.payload.assign(frame_begin + kHeader, frame_begin + body);
-  begin_ += body + kCrc;
-  offset_ += static_cast<std::int64_t>(body + kCrc);
-  return frame;
+  return frames_.next([this, timeout_ms](std::uint8_t* data, std::size_t size) {
+    return sock_.read_some(data, size, timeout_ms);
+  });
 }
 
 // --- net-only payload codecs ------------------------------------------------

@@ -5,7 +5,7 @@
 //
 // A connection opens with a stream header naming its channel, then
 // carries frames in EXACTLY the event log's frame format
-// (service/event_log.h):
+// (service/frame.h):
 //
 //   stream header := magic "CEBISNET" | u32 version (=1) | u8 channel
 //   frame         := u8 type | u32 payload_len | payload | u32 crc32
@@ -17,10 +17,11 @@
 // extends over the socket. Types >= 32 are net-only control/telemetry
 // messages that never appear in a log file.
 //
-// Reading is strict, mirroring EventLogError: a torn frame, a CRC
-// mismatch, an oversized or malformed payload raise WireError naming
-// the byte offset into the stream where the offending frame began -
-// the server logs it and closes the connection, never resynchronizes.
+// Reading is strict, with the event log's error: a foreign header, an
+// oversized, torn or corrupt frame or a malformed payload raise
+// service::EventLogError naming the byte offset into the stream where
+// the offending frame began - the server logs it and closes the
+// connection, never resynchronizes.
 
 #include <cstdint>
 #include <optional>
@@ -29,6 +30,7 @@
 #include "base/ids.h"
 #include "net/socket.h"
 #include "service/event_log.h"
+#include "service/frame.h"
 
 namespace cebis::net {
 
@@ -91,18 +93,7 @@ struct IngestStatusFrame {
   std::vector<HubCursor> cursors;
 };
 
-/// One frame off the wire, payload still encoded.
-struct Frame {
-  std::uint8_t type = 0;
-  std::vector<std::uint8_t> payload;
-};
-
-/// Strict-reader failure; byte_offset() names where the offending
-/// frame began, counted from the first byte after the stream header.
-class WireError : public service::EventLogError {
- public:
-  using EventLogError::EventLogError;
-};
+using service::Frame;
 
 /// Human-readable frame type name: the record names for 1..5, the
 /// net-only names for 32..35, "unknown" otherwise.
@@ -112,67 +103,49 @@ class WireError : public service::EventLogError {
 
 void write_stream_header(Socket& sock, Channel channel, int timeout_ms);
 
-/// Validates magic + version and returns the channel. Throws WireError
-/// on a foreign or torn header, TimeoutError past the deadline.
+/// Validates magic + version and returns the channel. Throws
+/// service::EventLogError on a foreign or torn header, TimeoutError
+/// past the deadline.
 [[nodiscard]] Channel read_stream_header(Socket& sock, int timeout_ms);
 
 // --- frame I/O --------------------------------------------------------------
 
-/// Frame bytes (type | len | payload | crc) appended to `out`.
-void append_frame(std::vector<std::uint8_t>& out, std::uint8_t type,
-                  const std::vector<std::uint8_t>& payload);
+using service::append_frame;
 
 void write_frame(Socket& sock, std::uint8_t type,
                  const std::vector<std::uint8_t>& payload, int timeout_ms);
 
-/// Strict framed reader over a socket. Payloads above `max_payload`
-/// are rejected before allocation (a torn length prefix must not look
-/// like a 4 GB frame).
-///
-/// Reads are buffered: one recv takes as many bytes as the kernel holds
-/// (up to kBufferBytes, or one whole frame when that is larger), and
-/// next() parses frames out of the buffer in place. Bytes past the
-/// current frame therefore sit in the reader, so once constructed a
-/// FrameReader owns every read on its socket; read the stream header
-/// before constructing it.
+/// service::FrameReader over a socket, each read waiting at most the
+/// `timeout_ms` given to next(). It buffers past the current frame, so
+/// it owns every read on its socket: read the stream header first.
 class FrameReader {
  public:
-  static constexpr std::size_t kBufferBytes = 64u << 10;
+  static constexpr std::size_t kBufferBytes =
+      service::FrameReader::kBufferBytes;
 
   explicit FrameReader(Socket& sock,
-                       std::size_t max_payload = 16u << 20)
-      : sock_(sock), max_payload_(max_payload), buf_(kBufferBytes) {}
+                       std::size_t max_payload = service::kMaxFramePayload);
 
   /// The next frame, or nullopt on orderly peer close at a frame
-  /// boundary with nothing buffered. Throws WireError (torn frame / CRC
-  /// mismatch / oversized payload), TimeoutError when `timeout_ms`
+  /// boundary with nothing buffered. Throws service::EventLogError
+  /// (oversized, torn or corrupt frame), TimeoutError when `timeout_ms`
   /// passes mid-frame, NetError when the socket itself fails.
   [[nodiscard]] std::optional<Frame> next(int timeout_ms);
 
   /// Byte offset the next frame starts at (stream header excluded).
-  [[nodiscard]] std::int64_t offset() const noexcept { return offset_; }
+  [[nodiscard]] std::int64_t offset() const noexcept {
+    return frames_.offset();
+  }
 
  private:
-  /// Makes at least `n` bytes available at buf_[begin_]: when fewer are
-  /// buffered, moves them to the front (growing buf_ to `n` if needed)
-  /// and reads into the free space until `n` are there. False when the
-  /// peer closes first.
-  bool fill(std::size_t n, int timeout_ms);
-
-  [[nodiscard]] std::size_t buffered() const noexcept { return end_ - begin_; }
-
   Socket& sock_;
-  std::size_t max_payload_;
-  std::vector<std::uint8_t> buf_;
-  std::size_t begin_ = 0;  ///< first unparsed byte in buf_
-  std::size_t end_ = 0;    ///< one past the last received byte in buf_
-  std::int64_t offset_ = 0;
+  service::FrameReader frames_;
 };
 
 // --- net-only payload codecs ------------------------------------------------
 //
 // decode_* take the frame's payload and the offset its frame began at
-// (for WireError provenance), mirroring service::decode_record.
+// (for EventLogError provenance), mirroring service::decode_record.
 
 [[nodiscard]] std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& t);
 [[nodiscard]] TelemetryFrame decode_telemetry(

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "service/event_log.h"
+#include "service/frame.h"
 
 namespace cebis::service::codec {
 

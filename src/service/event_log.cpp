@@ -166,47 +166,11 @@ constexpr std::size_t kHeaderSize = sizeof(kEventLogMagic) + 2 * sizeof(std::uin
 
 }  // namespace
 
-std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  // IEEE 802.3 (reflected polynomial 0xEDB88320), table-driven.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 // --- record codec -----------------------------------------------------------
 
 RecordType record_type(const EventRecord& record) {
-  struct Visitor {
-    RecordType operator()(const SessionMeta&) const {
-      return RecordType::kSessionMeta;
-    }
-    RecordType operator()(const PriceTickRecord&) const {
-      return RecordType::kPriceTick;
-    }
-    RecordType operator()(const WorkloadStepRecord&) const {
-      return RecordType::kWorkloadStep;
-    }
-    RecordType operator()(const RoutingDecisionRecord&) const {
-      return RecordType::kRoutingDecision;
-    }
-    RecordType operator()(const StorageActionRecord&) const {
-      return RecordType::kStorageAction;
-    }
-  };
-  return std::visit(Visitor{}, record);
+  // EventRecord lists its alternatives in wire-tag order, from 1.
+  return static_cast<RecordType>(record.index() + 1);
 }
 
 const char* record_type_name(std::uint8_t type) {
@@ -306,19 +270,28 @@ EventRecord decode_record(std::uint8_t type,
 
 // --- writer -----------------------------------------------------------------
 
+namespace {
+
+/// A counter on `taps.metrics`, or an inert handle when there is none.
+obs::Counter tap_counter(const obs::Taps& taps, const char* name,
+                         const char* help) {
+  return taps.metrics != nullptr ? taps.metrics->counter(name, help)
+                                 : obs::Counter{};
+}
+
+}  // namespace
+
 EventLogWriter::EventLogWriter(const std::string& path, obs::Taps taps)
     : path_(path),
       out_(path, std::ios::binary | std::ios::trunc),
+      m_frames_(tap_counter(taps, "cebis_eventlog_frames_written_total",
+                            "Frames appended to the binary event log")),
+      m_bytes_(tap_counter(taps, "cebis_eventlog_bytes_written_total",
+                           "Bytes appended to the binary event log "
+                           "(frames only, header excluded)")),
       tracer_(taps.tracer) {
   if (!out_) {
     throw std::runtime_error("EventLogWriter: cannot open " + path);
-  }
-  if (taps.metrics != nullptr) {
-    m_frames_ = taps.metrics->counter("cebis_eventlog_frames_written_total",
-                                      "Frames appended to the binary event log");
-    m_bytes_ = taps.metrics->counter("cebis_eventlog_bytes_written_total",
-                                     "Bytes appended to the binary event log "
-                                     "(frames only, header excluded)");
   }
   out_.write(kEventLogMagic, sizeof(kEventLogMagic));
   const std::uint32_t version = kEventLogVersion;
@@ -328,51 +301,24 @@ EventLogWriter::EventLogWriter(const std::string& path, obs::Taps taps)
   bytes_ = static_cast<std::int64_t>(kHeaderSize);
 }
 
-void EventLogWriter::frame(RecordType type,
-                           const std::vector<std::uint8_t>& payload) {
+void EventLogWriter::write(const EventRecord& record) {
+  const std::vector<std::uint8_t> payload = encode_record(record);
   if (closed_) {
     throw std::logic_error("EventLogWriter: write after close");
   }
   const obs::Tracer::Span span =
       obs::maybe_span(tracer_, "eventlog/write", "eventlog");
-  // CRC covers type + length + payload, so a frame whose header bytes
-  // rot is as detectable as one whose payload does.
-  std::vector<std::uint8_t> buf;
-  buf.reserve(1 + sizeof(std::uint32_t) + payload.size());
-  put(buf, static_cast<std::uint8_t>(type));
-  put(buf, static_cast<std::uint32_t>(payload.size()));
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(buf.data(), buf.size());
-  out_.write(reinterpret_cast<const char*>(buf.data()),
-             static_cast<std::streamsize>(buf.size()));
-  out_.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  buf_.clear();
+  append_frame(buf_, static_cast<std::uint8_t>(record_type(record)), payload);
+  out_.write(reinterpret_cast<const char*>(buf_.data()),
+             static_cast<std::streamsize>(buf_.size()));
   if (!out_) {
     throw std::runtime_error("EventLogWriter: write failed for " + path_);
   }
-  bytes_ += static_cast<std::int64_t>(buf.size() + sizeof(crc));
+  bytes_ += static_cast<std::int64_t>(buf_.size());
   ++frames_;
   m_frames_.add();
-  m_bytes_.add(static_cast<double>(buf.size() + sizeof(crc)));
-}
-
-void EventLogWriter::write(const SessionMeta& meta) {
-  frame(RecordType::kSessionMeta, encode(meta));
-}
-
-void EventLogWriter::write(const PriceTickRecord& tick) {
-  frame(RecordType::kPriceTick, encode_record(EventRecord{tick}));
-}
-
-void EventLogWriter::write(const WorkloadStepRecord& step) {
-  frame(RecordType::kWorkloadStep, encode_record(EventRecord{step}));
-}
-
-void EventLogWriter::write(const RoutingDecisionRecord& decision) {
-  frame(RecordType::kRoutingDecision, encode_record(EventRecord{decision}));
-}
-
-void EventLogWriter::write(const StorageActionRecord& action) {
-  frame(RecordType::kStorageAction, encode_record(EventRecord{action}));
+  m_bytes_.add(static_cast<double>(buf_.size()));
 }
 
 void EventLogWriter::close() {
@@ -388,19 +334,19 @@ void EventLogWriter::close() {
 // --- reader -----------------------------------------------------------------
 
 EventLogReader::EventLogReader(const std::string& path, obs::Taps taps)
-    : in_(path, std::ios::binary), tracer_(taps.tracer) {
+    : in_(path, std::ios::binary),
+      m_frames_(tap_counter(taps, "cebis_eventlog_frames_read_total",
+                            "Frames decoded from the binary event log")),
+      m_bytes_(tap_counter(taps, "cebis_eventlog_bytes_read_total",
+                           "Bytes decoded from the binary event log "
+                           "(frames only, header excluded)")),
+      tracer_(taps.tracer),
+      frames_(static_cast<std::int64_t>(kHeaderSize), kMaxFramePayload,
+              record_type_name, "end of file",
+              tap_counter(taps, "cebis_eventlog_crc_failures_total",
+                          "Frames rejected for a checksum mismatch")) {
   if (!in_) {
     throw EventLogError("cannot open event log " + path, 0);
-  }
-  if (taps.metrics != nullptr) {
-    m_frames_ = taps.metrics->counter("cebis_eventlog_frames_read_total",
-                                      "Frames decoded from the binary event log");
-    m_bytes_ = taps.metrics->counter("cebis_eventlog_bytes_read_total",
-                                     "Bytes decoded from the binary event log "
-                                     "(frames only, header excluded)");
-    m_crc_failures_ =
-        taps.metrics->counter("cebis_eventlog_crc_failures_total",
-                              "Frames rejected for a checksum mismatch");
   }
   std::array<char, kHeaderSize> header{};
   in_.read(header.data(), header.size());
@@ -419,67 +365,32 @@ EventLogReader::EventLogReader(const std::string& path, obs::Taps taps)
                             std::to_string(version),
                         static_cast<std::int64_t>(sizeof(kEventLogMagic)));
   }
-  offset_ = static_cast<std::int64_t>(kHeaderSize);
 }
 
 std::optional<EventRecord> EventLogReader::next() {
   const obs::Tracer::Span span =
       obs::maybe_span(tracer_, "eventlog/read", "eventlog");
-  const std::int64_t frame_offset = offset_;
-  std::uint8_t type = 0;
-  in_.read(reinterpret_cast<char*>(&type), 1);
-  if (in_.gcount() == 0) {
-    return std::nullopt;  // clean end-of-log: EOF exactly on a frame boundary
-  }
-  std::uint32_t payload_len = 0;
-  in_.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(payload_len))) {
-    throw EventLogError(
-        std::string("torn frame: end of file inside the header of a ") +
-            record_type_name(type) + " frame",
-        frame_offset);
-  }
-  std::vector<std::uint8_t> buf(1 + sizeof(payload_len) + payload_len);
-  buf[0] = type;
-  std::memcpy(buf.data() + 1, &payload_len, sizeof(payload_len));
-  in_.read(reinterpret_cast<char*>(buf.data() + 1 + sizeof(payload_len)),
-           payload_len);
-  if (in_.gcount() != static_cast<std::streamsize>(payload_len)) {
-    throw EventLogError(
-        std::string("torn frame: end of file inside the payload of a ") +
-            record_type_name(type) + " frame",
-        frame_offset);
-  }
-  std::uint32_t stored_crc = 0;
-  in_.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(stored_crc))) {
-    throw EventLogError(
-        std::string("torn frame: end of file before the checksum of a ") +
-            record_type_name(type) + " frame",
-        frame_offset);
-  }
-  const std::uint32_t computed = crc32(buf.data(), buf.size());
-  if (computed != stored_crc) {
-    m_crc_failures_.add();
-    throw EventLogError(std::string("CRC mismatch in a ") +
-                            record_type_name(type) + " frame",
-                        frame_offset);
-  }
-  offset_ = frame_offset + static_cast<std::int64_t>(buf.size() + sizeof(stored_crc));
+  const std::int64_t frame_offset = frames_.offset();
+  std::optional<Frame> frame =
+      frames_.next([this](std::uint8_t* data, std::size_t size) {
+        in_.read(reinterpret_cast<char*>(data),
+                 static_cast<std::streamsize>(size));
+        return static_cast<std::size_t>(in_.gcount());
+      });
+  if (!frame) return std::nullopt;  // clean end-of-log
   m_frames_.add();
-  m_bytes_.add(static_cast<double>(buf.size() + sizeof(stored_crc)));
-
-  const std::vector<std::uint8_t> payload(buf.begin() + 1 + sizeof(payload_len),
-                                          buf.end());
-  return decode_record(type, payload, frame_offset);
+  m_bytes_.add(static_cast<double>(frames_.offset() - frame_offset));
+  return decode_record(frame->type, frame->payload, frame_offset);
 }
 
 RecordedSession read_session(const std::string& path) {
   EventLogReader reader(path);
   RecordedSession session;
   bool have_meta = false;
-  while (auto record = reader.next()) {
+  for (;;) {
     const std::int64_t frame_offset = reader.offset();
+    std::optional<EventRecord> record = reader.next();
+    if (!record) break;
     std::visit(
         [&](auto&& r) {
           using T = std::decay_t<decltype(r)>;

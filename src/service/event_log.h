@@ -16,18 +16,16 @@
 // Format (little-endian, the only byte order the toolchain targets):
 //
 //   header   := magic "CEBISLOG" | u32 version (=1) | u32 reserved (=0)
-//   frame    := u8 type | u32 payload_len | payload | u32 crc32
-//   crc32    := IEEE 802.3 CRC of (type | payload_len | payload)
+//   then one service/frame.h frame per record (as net/wire.h carries)
 //
-// The reader is strict: a torn final frame (EOF mid-frame), a CRC
-// mismatch, an unknown record type or a malformed payload all raise
+// The reader is strict: an oversized, torn or corrupt frame (see
+// FrameReader), an unknown record type or a malformed payload all raise
 // EventLogError naming the byte offset of the offending frame - never a
 // silent partial replay.
 
 #include <cstdint>
 #include <fstream>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
@@ -37,6 +35,7 @@
 #include "core/scenario.h"
 #include "obs/metrics.h"
 #include "obs/taps.h"
+#include "service/frame.h"
 
 namespace cebis::service {
 
@@ -109,26 +108,10 @@ struct StorageActionRecord {
   std::vector<double> soc_delta_mwh;
 };
 
+/// One record of any type; the alternatives are in RecordType order.
 using EventRecord = std::variant<SessionMeta, PriceTickRecord,
                                  WorkloadStepRecord, RoutingDecisionRecord,
                                  StorageActionRecord>;
-
-/// Raised on any structural log defect; `byte_offset` names where the
-/// offending frame (or the truncation) starts in the file.
-class EventLogError : public std::runtime_error {
- public:
-  EventLogError(std::string message, std::int64_t byte_offset)
-      : std::runtime_error(std::move(message) + " (byte offset " +
-                           std::to_string(byte_offset) + ")"),
-        byte_offset_(byte_offset) {}
-
-  [[nodiscard]] std::int64_t byte_offset() const noexcept {
-    return byte_offset_;
-  }
-
- private:
-  std::int64_t byte_offset_;
-};
 
 class EventLogWriter {
  public:
@@ -138,11 +121,9 @@ class EventLogWriter {
   /// and a span per frame written; the wire format is independent of it.
   explicit EventLogWriter(const std::string& path, obs::Taps taps = {});
 
-  void write(const SessionMeta& meta);
-  void write(const PriceTickRecord& tick);
-  void write(const WorkloadStepRecord& step);
-  void write(const RoutingDecisionRecord& decision);
-  void write(const StorageActionRecord& action);
+  /// Appends one record's frame. Throws std::invalid_argument for a
+  /// SessionMeta the codec cannot round-trip (see encode_record).
+  void write(const EventRecord& record);
 
   /// Flushes and closes; later writes throw std::logic_error.
   void close();
@@ -152,10 +133,9 @@ class EventLogWriter {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  void frame(RecordType type, const std::vector<std::uint8_t>& payload);
-
   std::string path_;
   std::ofstream out_;
+  std::vector<std::uint8_t> buf_;  ///< the frame being written, reused
   std::int64_t bytes_ = 0;
   std::int64_t frames_ = 0;
   bool closed_ = false;
@@ -174,20 +154,21 @@ class EventLogReader {
   explicit EventLogReader(const std::string& path, obs::Taps taps = {});
 
   /// The next record, or nullopt at clean end-of-log. Throws
-  /// EventLogError on a torn frame, CRC mismatch, unknown type or
-  /// malformed payload.
+  /// EventLogError on an oversized, torn or corrupt frame, an unknown
+  /// type or a malformed payload.
   [[nodiscard]] std::optional<EventRecord> next();
 
   /// Byte offset the next frame starts at.
-  [[nodiscard]] std::int64_t offset() const noexcept { return offset_; }
+  [[nodiscard]] std::int64_t offset() const noexcept {
+    return frames_.offset();
+  }
 
  private:
   std::ifstream in_;
-  std::int64_t offset_ = 0;
   obs::Counter m_frames_;
   obs::Counter m_bytes_;
-  obs::Counter m_crc_failures_;
   obs::Tracer* tracer_ = nullptr;
+  FrameReader frames_;
 };
 
 /// A fully parsed session log, records bucketed by type in arrival
@@ -203,15 +184,12 @@ struct RecordedSession {
 
 [[nodiscard]] RecordedSession read_session(const std::string& path);
 
-/// IEEE 802.3 CRC-32 (the log's frame checksum; exposed for tests).
-[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
-
 // --- Record codec ---------------------------------------------------------
 //
 // The (type, payload) encoding of each record, shared with the network
 // transport (src/net/): a record framed off a socket is byte-identical
 // to the one the file log appends, so a server can append ingested
-// frames verbatim and replay-equals-live holds for socket sessions.
+// records verbatim and replay-equals-live holds for socket sessions.
 
 /// The wire type tag of a record.
 [[nodiscard]] RecordType record_type(const EventRecord& record);

@@ -40,7 +40,7 @@ class EventLogObserver final : public core::StepObserver {
     decision.step = view.step;
     const std::span<const double> totals = view.allocation.cluster_totals();
     decision.cluster_load.assign(totals.begin(), totals.end());
-    log_.write(decision);
+    log_.write(std::move(decision));
 
     if (controller_ != nullptr) {
       StorageActionRecord action;
@@ -52,7 +52,7 @@ class EventLogObserver final : public core::StepObserver {
         action.soc_delta_mwh[c] = soc - prev_soc_[c];
         prev_soc_[c] = soc;
       }
-      log_.write(action);
+      log_.write(std::move(action));
     }
   }
 
@@ -78,6 +78,19 @@ class DecisionCapture final : public core::StepObserver {
  private:
   std::vector<double> last_;
 };
+
+/// The SessionMeta of a LiveConfig session (the engine fills in the
+/// state and cluster counts).
+SessionMeta meta_of(const core::Fixture& fixture, const LiveConfig& config) {
+  return {.seed = fixture.seed, .router = config.router,
+          .router_config = config.router_config, .period = config.period,
+          .steps_per_hour = config.steps_per_hour,
+          .samples_per_hour = config.samples_per_hour,
+          .delay_hours = config.delay_hours, .delay_steps = config.delay_steps,
+          .enforce_p95 = config.enforce_p95, .energy = config.energy,
+          .record_hourly_energy = config.record_hourly_energy,
+          .storage = config.storage};
+}
 
 }  // namespace
 
@@ -184,31 +197,36 @@ struct LiveEngine::Impl {
   }
 };
 
-LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
+LiveEngine::LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
                        EventLogWriter* log)
-    : config_(std::move(config)) {
-  if (config_.period.hours() <= 0) {
+    : LiveEngine(fixture, meta_of(fixture, config), config, log) {}
+
+LiveEngine::LiveEngine(const core::Fixture& fixture, const SessionMeta& meta,
+                       const LiveOptions& options, EventLogWriter* log)
+    : meta_(meta) {
+  if (meta_.period.hours() <= 0) {
     throw std::invalid_argument("LiveEngine: empty period");
   }
-  // The meta comes first: the session's spec is built from it through
-  // the same spec_of() replay applies to the logged copy, so live and
-  // replay resolve one spec into one engine recipe.
-  meta_.seed = fixture.seed;
-  meta_.router = config_.router;
-  meta_.router_config = config_.router_config;
-  meta_.period = config_.period;
-  meta_.steps_per_hour = config_.steps_per_hour;
-  meta_.samples_per_hour = config_.samples_per_hour;
-  meta_.delay_hours = config_.delay_hours;
-  meta_.delay_steps = config_.delay_steps;
-  meta_.enforce_p95 = config_.enforce_p95;
-  meta_.n_states = static_cast<std::uint32_t>(fixture.trace.state_count());
-  meta_.energy = config_.energy;
-  meta_.record_hourly_energy = config_.record_hourly_energy;
-  meta_.storage = config_.storage;
+  if (meta_.seed != fixture.seed) {
+    throw std::invalid_argument(
+        "SessionMeta seed " + std::to_string(meta_.seed) +
+        " does not match the fixture (seed " + std::to_string(fixture.seed) +
+        ")");
+  }
+  const std::size_t n_states = fixture.trace.state_count();
+  if (meta_.n_states != 0 && meta_.n_states != n_states) {
+    throw std::invalid_argument("SessionMeta names " +
+                                std::to_string(meta_.n_states) +
+                                " states, the fixture builds " +
+                                std::to_string(n_states));
+  }
+  meta_.n_states = static_cast<std::uint32_t>(n_states);
+  // The session's spec is built from the meta through the same
+  // spec_of() replay applies to the logged copy, so live and replay
+  // resolve one spec into one engine recipe.
   const core::ScenarioSpec spec = spec_of(meta_);
   core::EngineRecipe recipe = core::engine_recipe(fixture, spec);
-  recipe.config.taps = config_.taps;
+  recipe.config.taps = options.taps;
   meta_.n_clusters = static_cast<std::uint32_t>(recipe.clusters.size());
 
   std::vector<HubId> tracked;
@@ -216,22 +234,21 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
   for (const core::Cluster& c : recipe.clusters) tracked.push_back(c.hub);
 
   impl_ = std::make_unique<Impl>(
-      market::TickAssembler(core::priced_window_of(config_.period, spec),
-                            config_.samples_per_hour,
+      market::TickAssembler(core::priced_window_of(meta_.period, spec),
+                            meta_.samples_per_hour,
                             market::HubRegistry::instance().size(),
                             std::move(tracked)),
-      PushWorkload(config_.period, config_.steps_per_hour,
-                   fixture.trace.state_count()),
+      PushWorkload(meta_.period, meta_.steps_per_hour, n_states),
       std::move(recipe.clusters), fixture, recipe.config);
   Impl& im = *impl_;
   im.log = log;
-  im.telemetry = LiveTelemetry{RollingEstimators(config_.telemetry_ewma_alpha),
-                               RollingEstimators(config_.telemetry_ewma_alpha)};
+  im.telemetry = LiveTelemetry{RollingEstimators(options.telemetry_ewma_alpha),
+                               RollingEstimators(options.telemetry_ewma_alpha)};
 
   im.router = recipe.entry->make(fixture, spec);
-  im.tracer = config_.taps.tracer;
-  if (config_.taps.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *config_.taps.metrics;
+  im.tracer = options.taps.tracer;
+  if (options.taps.metrics != nullptr) {
+    obs::MetricsRegistry& reg = *options.taps.metrics;
     im.m_ticks = reg.counter("cebis_live_price_ticks_total",
                              "Settlement ticks ingested by the live session");
     im.m_blocked = reg.counter(
@@ -253,14 +270,14 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
   }
 
   im.observers.push_back(&im.capture);
-  if (config_.record_hourly_energy) {
+  if (meta_.record_hourly_energy) {
     im.recorder =
         std::make_unique<core::HourlyEnergyRecorder>(/*native_intervals=*/true);
     im.observers.push_back(im.recorder.get());
   }
   if (spec.storage.has_value()) {
     im.controller = std::make_unique<storage::StorageController>(
-        *spec.storage, config_.taps.metrics);
+        *spec.storage, options.taps.metrics);
     im.observers.push_back(im.controller.get());
   }
   if (log != nullptr) {
@@ -276,12 +293,12 @@ LiveEngine::LiveEngine(const core::Fixture& fixture, LiveConfig config,
 
   im.session.emplace(im.engine.begin(im.workload, *im.router, im.observers));
 
-  if (config_.shadow_baseline) {
+  if (options.shadow_baseline) {
     core::ScenarioSpec baseline_spec = spec;
     baseline_spec.router = "baseline";
     baseline_spec.config = std::monostate{};
     core::EngineRecipe shadow = core::engine_recipe(fixture, baseline_spec);
-    shadow.config.taps = config_.taps;
+    shadow.config.taps = options.taps;
     im.shadow_engine = std::make_unique<core::SimulationEngine>(
         std::move(shadow.clusters), im.assembler.set(), fixture.distances,
         shadow.config);
@@ -403,10 +420,6 @@ std::span<const std::int64_t> LiveEngine::next_tick_intervals() const noexcept {
 
 std::size_t LiveEngine::state_count() const noexcept {
   return impl_->workload.state_count();
-}
-
-std::size_t LiveEngine::cluster_count() const noexcept {
-  return impl_->engine.clusters().size();
 }
 
 const LiveTelemetry& LiveEngine::telemetry() const noexcept {

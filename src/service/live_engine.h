@@ -75,10 +75,27 @@ class PushWorkload final : public core::Workload {
   std::vector<double> data_;  // pushed() x state_count, row-major
 };
 
+/// The settings of a live session that its SessionMeta does not carry.
+struct LiveOptions {
+  /// Step a shadow "baseline" session in lockstep and report rolling
+  /// savings telemetry.
+  bool shadow_baseline = true;
+  double telemetry_ewma_alpha = 0.1;
+
+  /// Observability taps (obs::Taps; both pointers borrowed, may be
+  /// null). Threaded into the underlying engine (see
+  /// EngineConfig::taps) and extended with live-mode series: tick
+  /// counts, the tick stream's seal lag against what the next step
+  /// needs, per-hub gap stalls, and blocked advances. Write-only - the
+  /// simulation never reads them back, so a live run stays
+  /// byte-identical to its replay with or without them.
+  obs::Taps taps;
+};
+
 /// Static configuration of one live session (the declarative subset of
 /// a ScenarioSpec that a stream can honour - no caller hooks, no price
-/// overrides).
-struct LiveConfig {
+/// overrides), plus its LiveOptions.
+struct LiveConfig : LiveOptions {
   std::string router = "price-aware";
   core::RouterConfig router_config{};
   /// Workload window (absolute hours); required, must be non-empty.
@@ -97,19 +114,6 @@ struct LiveConfig {
   /// Battery storage behind every cluster (see core::StorageSpec; the
   /// loggable subset only - empty per_cluster, default policy_config).
   std::optional<core::StorageSpec> storage;
-  /// Step a shadow "baseline" session in lockstep and report rolling
-  /// savings telemetry.
-  bool shadow_baseline = true;
-  double telemetry_ewma_alpha = 0.1;
-
-  /// Observability taps (obs::Taps; both pointers borrowed, may be
-  /// null). Threaded into the underlying engine (see
-  /// EngineConfig::taps) and extended with live-mode series: tick
-  /// counts, the tick stream's seal lag against what the next step
-  /// needs, per-hub gap stalls, and blocked advances. Write-only - the
-  /// simulation never reads them back, so a live run stays
-  /// byte-identical to its replay with or without them.
-  obs::Taps taps;
 };
 
 /// Rolling per-step dollar telemetry (see RollingEstimators; all
@@ -131,8 +135,14 @@ class LiveEngine {
   /// given - writes the SessionMeta frame. `log` and `fixture` must
   /// outlive the LiveEngine. Throws std::invalid_argument on a config
   /// the service mode cannot honour.
-  LiveEngine(const core::Fixture& fixture, LiveConfig config,
+  LiveEngine(const core::Fixture& fixture, const LiveConfig& config,
              EventLogWriter* log = nullptr);
+
+  /// The session `meta` describes (a server's socket-fed session); also
+  /// throws when the meta's seed or nonzero n_states differ from the
+  /// fixture's.
+  LiveEngine(const core::Fixture& fixture, const SessionMeta& meta,
+             const LiveOptions& options, EventLogWriter* log = nullptr);
   ~LiveEngine();
 
   LiveEngine(const LiveEngine&) = delete;
@@ -173,15 +183,12 @@ class LiveEngine {
   [[nodiscard]] std::span<const std::int64_t> next_tick_intervals()
       const noexcept;
   [[nodiscard]] std::size_t state_count() const noexcept;
-  [[nodiscard]] std::size_t cluster_count() const noexcept;
   [[nodiscard]] const LiveTelemetry& telemetry() const noexcept;
-  [[nodiscard]] const LiveConfig& config() const noexcept { return config_; }
   /// The SessionMeta a log of this session carries.
   [[nodiscard]] const SessionMeta& meta() const noexcept { return meta_; }
 
  private:
   struct Impl;
-  LiveConfig config_;
   SessionMeta meta_;
   std::unique_ptr<Impl> impl_;
 };

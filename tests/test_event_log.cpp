@@ -354,6 +354,42 @@ TEST(EventLog, RejectsDoublesCountLargerThanTheFrame) {
       EventLogError);
 }
 
+TEST(EventLog, RejectsOversizedFrameLengthBeforeAllocating) {
+  // The second frame's length prefix rewritten to 0xFFFFFFF0. A reader
+  // that sizes its buffer from the prefix allocates ~4 GiB before it
+  // finds out the file is a few hundred bytes long; the frame reader
+  // bounds the length first and names the frame.
+  test::TempFile file("event_log_oversized.eventlog");
+  std::int64_t second_frame_at = 0;
+  {
+    EventLogWriter writer(file.path());
+    writer.write(small_meta());
+    second_frame_at = writer.bytes_written();
+    writer.write(PriceTickRecord{HubId(0), 5, 10.0});
+    writer.close();
+  }
+  for (int k = 0; k < 4; ++k) {
+    poke(file.path(), second_frame_at + 1 + k, k == 0 ? '\xF0' : '\xFF');
+  }
+
+  EventLogReader reader(file.path());
+  ASSERT_TRUE(reader.next().has_value());
+  try {
+    (void)reader.next();
+    FAIL() << "an oversized length prefix must throw";
+  } catch (const EventLogError& e) {
+    EXPECT_EQ(e.byte_offset(), second_frame_at);
+    EXPECT_NE(std::string(e.what()).find("oversized"), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)read_session(file.path());
+    FAIL() << "read_session must reject the oversized frame too";
+  } catch (const EventLogError& e) {
+    EXPECT_EQ(e.byte_offset(), second_frame_at);
+  }
+}
+
 // --- read_session ordering --------------------------------------------------
 
 TEST(EventLog, ReadSessionRequiresMetaFirst) {
@@ -382,6 +418,49 @@ TEST(EventLog, ReadSessionRejectsDuplicateMeta) {
     writer.close();
   }
   EXPECT_THROW((void)read_session(file.path()), EventLogError);
+}
+
+// read_session names where the offending frame STARTS, like every other
+// reader error - not where the reader stopped after it.
+TEST(EventLog, ReadSessionNamesTheStartOfADuplicateMeta) {
+  test::TempFile file("event_log_meta_tick_meta.eventlog");
+  std::int64_t duplicate_at = 0;
+  {
+    EventLogWriter writer(file.path());
+    writer.write(small_meta());
+    writer.write(PriceTickRecord{HubId(0), 5, 10.0});
+    duplicate_at = writer.bytes_written();
+    writer.write(small_meta());
+    writer.close();
+  }
+  try {
+    (void)read_session(file.path());
+    FAIL() << "a duplicate SessionMeta must throw";
+  } catch (const EventLogError& e) {
+    EXPECT_EQ(e.byte_offset(), duplicate_at);
+    EXPECT_NE(std::string(e.what()).find("duplicate SessionMeta"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EventLog, ReadSessionNamesTheStartOfALeadingNonMetaFrame) {
+  test::TempFile file("event_log_tick_first.eventlog");
+  {
+    EventLogWriter writer(file.path());
+    writer.write(PriceTickRecord{HubId(0), 5, 10.0});
+    writer.write(small_meta());
+    writer.close();
+  }
+  try {
+    (void)read_session(file.path());
+    FAIL() << "a log that does not open with its SessionMeta must throw";
+  } catch (const EventLogError& e) {
+    EXPECT_EQ(e.byte_offset(), kHeaderSize);
+    EXPECT_NE(std::string(e.what()).find("does not start with a SessionMeta"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EventLog, ReadSessionBucketsByType) {

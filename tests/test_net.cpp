@@ -2,7 +2,7 @@
 //
 //   - the wire codec round-trips and the strict FrameReader rejects
 //     torn, corrupt and oversized frames with byte-offset provenance
-//     (mirroring the event log's reader discipline), however its
+//     (service::EventLogError, the event log's own error), however its
 //     buffered reads split the stream into recvs;
 //   - a full socket-fed session is indistinguishable from an
 //     in-process one: the event log the server writes is BYTE-IDENTICAL
@@ -194,7 +194,7 @@ TEST(NetWireTest, FrameReaderRejectsTornFrame) {
   try {
     (void)reader.next(kIoMs);
     FAIL() << "a torn frame must not read back";
-  } catch (const WireError& e) {
+  } catch (const service::EventLogError& e) {
     EXPECT_EQ(e.byte_offset(), static_cast<std::int64_t>(first_end));
   }
 }
@@ -210,7 +210,7 @@ TEST(NetWireTest, FrameReaderRejectsCorruptCrc) {
   try {
     (void)reader.next(kIoMs);
     FAIL() << "a CRC mismatch must not read back";
-  } catch (const WireError& e) {
+  } catch (const service::EventLogError& e) {
     EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
   }
 }
@@ -224,7 +224,7 @@ TEST(NetWireTest, FrameReaderRejectsOversizedPayloadBeforeAllocating) {
   std::memcpy(bytes.data() + 1, &huge, sizeof(huge));
   pair.client.write_all(bytes.data(), bytes.size(), kIoMs);
   FrameReader reader(pair.server, /*max_payload=*/4096);
-  EXPECT_THROW((void)reader.next(kIoMs), WireError);
+  EXPECT_THROW((void)reader.next(kIoMs), service::EventLogError);
 }
 
 TEST(NetWireTest, FrameReaderTimesOutMidFrame) {
@@ -344,7 +344,7 @@ TEST(NetWireTest, FrameReaderNamesTheTornFrameAfterBufferedFrames) {
     try {
       (void)reader.next(kIoMs);
       FAIL() << "a torn frame must not read back (cut at " << cut << ")";
-    } catch (const WireError& e) {
+    } catch (const service::EventLogError& e) {
       EXPECT_EQ(e.byte_offset(),
                 static_cast<std::int64_t>(stream.bytes.size()));
       EXPECT_NE(std::string(e.what()).find("torn frame"), std::string::npos)
@@ -370,7 +370,8 @@ TEST(NetWireTest, StreamHeaderRejectsForeignBytes) {
   SocketPair pair;
   const char garbage[] = "GET /metrics HTTP/1.1\r\n";
   pair.client.write_all(garbage, sizeof(garbage) - 1, kIoMs);
-  EXPECT_THROW((void)read_stream_header(pair.server, kIoMs), WireError);
+  EXPECT_THROW((void)read_stream_header(pair.server, kIoMs),
+               service::EventLogError);
 
   SocketPair pair2;
   write_stream_header(pair2.client, Channel::kSubscribe, kIoMs);
@@ -455,10 +456,11 @@ SessionFeed make_feed(const core::Fixture& fixture, std::int64_t hours) {
   return feed;
 }
 
-/// The server's exact session, run in process: same LiveConfig mapping
-/// as Server::Impl::open_session, same buffer-then-pump discipline,
-/// same feed order (interleave_feed). The event log this writes must be
-/// byte-identical to the one the server writes over the socket.
+/// The server's exact session, run in process: built through the
+/// LiveConfig constructor (the server uses the SessionMeta one, so the
+/// two must agree), same buffer-then-pump discipline, same feed order
+/// (interleave_feed). The event log this writes must be byte-identical
+/// to the one the server writes over the socket.
 core::RunResult run_in_process(const core::Fixture& fixture,
                                const SessionFeed& feed,
                                const std::string& log_path) {
@@ -776,9 +778,11 @@ TEST_F(NetLoopbackTest, SubscribersCannotPerturbTheDecisionStream) {
   test::TempFile local_log("net_subscribers_local.eventlog");
   const SessionFeed feed = make_feed(*fixture_, 2);
 
+  obs::MetricsRegistry registry;
   ServerOptions options = loopback_options(server_log.path());
   options.subscriber_queue_capacity = 8;  // make drops plausible
   options.fixture = fixture_;  // the embedded-fixture path
+  options.taps.metrics = &registry;
   ServerHarness harness(options);
   const std::uint16_t sub_port = harness.server().subscribe_port();
 
@@ -832,6 +836,19 @@ TEST_F(NetLoopbackTest, SubscribersCannotPerturbTheDecisionStream) {
     } catch (const NetError&) {
     }
   });
+
+  // Start the feed only once the hub has accepted all eight: nothing
+  // else orders their connects before the session's frames.
+  const auto accepted = [&] {
+    return registry.snapshot().value_or("cebis_net_subscribers_connected_total",
+                                        0.0);
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (accepted() < 8.0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(accepted(), 8.0);
 
   FeedClientOptions client_options;
   client_options.port = harness.server().ingest_port();
