@@ -95,9 +95,10 @@ int main(int argc, char** argv) {
       "Reading: arbitrage and the Lyapunov policy monetize the *temporal*\n"
       "price structure the router cannot reach (charging cheap night hours,\n"
       "serving load through spikes), while peak shaving attacks the demand\n"
-      "charge itself; the peak guard throttles charging against the month's\n"
-      "established billed-demand level (exact on hourly workloads, within a\n"
-      "fraction of a percent on this 5-minute trace).\n");
+      "charge itself. The battery acts once per hourly meter interval, on\n"
+      "its known raw load, and the peak guard caps charging at a floor on\n"
+      "the month's billed raw demand, so no cell bills more demand than the\n"
+      "no-battery run.\n");
   std::printf("CSV: %s\n", bench::csv_path("ext_battery_arbitrage").c_str());
   return 0;
 }

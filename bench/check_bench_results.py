@@ -63,7 +63,8 @@ FIGURE_GATES = {
     "bench_ext_battery_arbitrage": {
         "csv": "cebis_ext_battery_arbitrage.csv",
         "keys": ("policy", "hours_of_storage"),
-        "values": ("total_usd", "saved_usd", "saved_pct", "discharged_mwh"),
+        "values": ("demand_usd", "total_usd", "saved_usd", "saved_pct",
+                   "discharged_mwh"),
     },
     "bench_ext_five_minute_market": {
         "csv": "cebis_ext_five_minute_market.csv",

@@ -57,11 +57,9 @@ struct StorageSpec {
   /// any registered extension.
   std::string policy = "lyapunov";
   storage::PolicyConfig policy_config{};
+  /// A demand charge here also engages the StorageController's charge
+  /// guard: charging never lifts the billed net demand above raw.
   billing::TariffSchedule tariff;
-  /// Under a demand-charge tariff, clamp charging so the net grid draw
-  /// never exceeds the month's already-established peak power (charging
-  /// must not create the very peaks the battery exists to shave).
-  bool cap_charge_at_peak = true;
 };
 
 enum class WorkloadKind {

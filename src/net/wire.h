@@ -7,7 +7,7 @@
 // carries frames in EXACTLY the event log's frame format
 // (service/frame.h):
 //
-//   stream header := magic "CEBISNET" | u32 version (=1) | u8 channel
+//   stream header := magic "CEBISNET" | u32 version (=2) | u8 channel
 //   frame         := u8 type | u32 payload_len | payload | u32 crc32
 //
 // Record types 1..5 reuse the EventLog record codec byte for byte, so
@@ -35,7 +35,7 @@
 namespace cebis::net {
 
 inline constexpr char kNetMagic[8] = {'C', 'E', 'B', 'I', 'S', 'N', 'E', 'T'};
-inline constexpr std::uint32_t kNetVersion = 1;
+inline constexpr std::uint32_t kNetVersion = 2;
 
 /// What a connection is for; the server dispatches on it at accept.
 enum class Channel : std::uint8_t {

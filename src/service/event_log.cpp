@@ -93,7 +93,6 @@ std::vector<std::uint8_t> encode(const SessionMeta& meta) {
     put_f64(out, s.battery.round_trip_efficiency);
     put_f64(out, s.battery.initial_soc_fraction);
     put_str(out, s.policy);
-    put(out, static_cast<std::uint8_t>(s.cap_charge_at_peak ? 1 : 0));
     put(out, static_cast<std::uint8_t>(s.tariff.index_to_wholesale ? 1 : 0));
     put_f64(out, s.tariff.energy_adder.value());
     put_f64(out, s.tariff.demand_usd_per_kw_month.value());
@@ -152,7 +151,6 @@ SessionMeta decode_meta(Parser& p) {
     s.battery.round_trip_efficiency = p.f64();
     s.battery.initial_soc_fraction = p.f64();
     s.policy = p.str();
-    s.cap_charge_at_peak = p.boolean();
     s.tariff.index_to_wholesale = p.boolean();
     s.tariff.energy_adder = UsdPerMwh{p.f64()};
     s.tariff.demand_usd_per_kw_month = Usd{p.f64()};

@@ -15,7 +15,7 @@
 //
 // Format (little-endian, the only byte order the toolchain targets):
 //
-//   header   := magic "CEBISLOG" | u32 version (=1) | u32 reserved (=0)
+//   header   := magic "CEBISLOG" | u32 version (=2) | u32 reserved (=0)
 //   then one service/frame.h frame per record (as net/wire.h carries)
 //
 // The reader is strict: an oversized, torn or corrupt frame (see
@@ -41,7 +41,7 @@ namespace cebis::service {
 
 inline constexpr char kEventLogMagic[8] = {'C', 'E', 'B', 'I',
                                            'S', 'L', 'O', 'G'};
-inline constexpr std::uint32_t kEventLogVersion = 1;
+inline constexpr std::uint32_t kEventLogVersion = 2;
 
 /// Frame types (the u8 on the wire).
 enum class RecordType : std::uint8_t {

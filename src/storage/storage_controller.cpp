@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "billing/tariff.h"
-#include "stats/percentile.h"
 
 namespace cebis::storage {
 
@@ -61,9 +60,8 @@ void StorageController::on_run_begin(const core::RunInfo& info,
   period_ = info.period;
   steps_per_hour_ = info.steps_per_hour;
   meter_sph_ = info.price_samples_per_hour;
-  guard_peaks_ = spec_.cap_charge_at_peak &&
-                 spec_.tariff.demand_usd_per_kw_month.value() > 0.0;
-  exact_guard_ = meter_sph_ >= steps_per_hour_;
+  steps_per_interval_ = std::max(1, steps_per_hour_ / meter_sph_);
+  guard_peaks_ = spec_.tariff.demand_usd_per_kw_month.value() > 0.0;
   batteries_.clear();
   policies_.clear();
   for (std::size_t c = 0; c < n; ++c) {
@@ -78,11 +76,8 @@ void StorageController::on_run_begin(const core::RunInfo& info,
   raw_mwh_.assign(n, std::vector<double>(intervals, 0.0));
   net_mwh_.assign(n, std::vector<double>(intervals, 0.0));
   spot_.assign(n, std::vector<double>(intervals, 0.0));
-  interval_net_mwh_.assign(n, 0.0);
-  month_net_mwh_.assign(n, {});
-  month_level_mwh_.assign(n, 0.0);
+  pending_mwh_.assign(n, 0.0);
   month_raw_stats_.assign(n, {});
-  guard_row_ = 0;
   // Month state is anchored at the run's first hour - a run starting
   // mid-month meters exactly the intervals its billing period covers
   // (regression-tested for non-month-boundary starts).
@@ -119,54 +114,35 @@ double StorageController::raw_demand_floor(std::size_t cluster) {
 }
 
 void StorageController::on_step(const core::StepView& view) {
-  // The metering row containing this step (meter rows per hour times
-  // completed hours, plus the row within the hour).
-  const std::int64_t hour_row = view.hour - period_.begin;
+  // Sum the step into the open metering interval; the battery acts once
+  // the interval's last step is in, so its raw load is known. A step no
+  // finer than the meter closes its intervals at once.
+  for (std::size_t c = 0; c < batteries_.size(); ++c) {
+    pending_mwh_[c] += view.energy_mwh[c];
+  }
   const auto step_in_hour =
       static_cast<std::int64_t>(view.step % steps_per_hour_);
-  const std::int64_t row =
-      hour_row * meter_sph_ + step_in_hour * meter_sph_ / steps_per_hour_;
+  if ((step_in_hour + 1) % steps_per_interval_ != 0) return;
 
-  if (guard_peaks_ && !exact_guard_ && row != guard_row_) {
-    // Legacy (meter coarser than step) path: fold the completed interval
-    // into the month's demand measurement and refresh the established
-    // billed level (the tariff's percentile of the completed net
-    // intervals); a new calendar month starts fresh.
-    const int month = month_index(view.hour);
-    const bool new_month = month != guard_month_;
-    for (std::size_t c = 0; c < batteries_.size(); ++c) {
-      if (new_month) {
-        month_net_mwh_[c].clear();
-      } else {
-        month_net_mwh_[c].push_back(interval_net_mwh_[c]);
-      }
-      month_level_mwh_[c] =
-          month_net_mwh_[c].empty()
-              ? 0.0
-              : stats::percentile(month_net_mwh_[c],
-                                  spec_.tariff.demand_percentile);
-      interval_net_mwh_[c] = 0.0;
-    }
-    guard_row_ = row;
-    guard_month_ = month;
-  }
-  if (guard_peaks_ && exact_guard_) {
+  // The first metering row the decision covers (meter rows per hour
+  // times completed hours, plus the row within the hour), and how many
+  // whole intervals it covers.
+  const std::int64_t row = (view.hour - period_.begin) * meter_sph_ +
+                           step_in_hour * meter_sph_ / steps_per_hour_;
+  const std::int64_t intervals = std::max(1, meter_sph_ / steps_per_hour_);
+  const Hours dt = view.dt * static_cast<double>(steps_per_interval_);
+  if (guard_peaks_) {
     const int month = month_index(view.hour);
     if (month != guard_month_) begin_month(month);
   }
 
-  // Exact path: every step covers `per_step` whole metering intervals,
-  // so the interval loads are known when the charge decision is made.
-  const std::int64_t per_step =
-      exact_guard_ ? meter_sph_ / steps_per_hour_ : 1;
-
   for (std::size_t c = 0; c < batteries_.size(); ++c) {
-    const double load = view.energy_mwh[c];
+    const double load = std::exchange(pending_mwh_[c], 0.0);
     const double price = view.billing_price[c];
 
     PolicyContext ctx;
     ctx.hour = view.hour;
-    ctx.dt = view.dt;
+    ctx.dt = dt;
     ctx.price_usd_per_mwh = price;
     ctx.load_mwh = load;
     ctx.battery = &batteries_[c];
@@ -175,70 +151,46 @@ void StorageController::on_step(const core::StepView& view) {
     double grid = load;
     if (intent > 0.0) {
       double request = intent;
-      if (guard_peaks_ && exact_guard_) {
-        // Exact interval metering: the step IS `per_step` complete
-        // intervals, each carrying load / per_step. Cap charging so
-        // every interval's net stays at or below max(raw, floor) -
-        // since raw is known here, there is no within-interval future
-        // load to mispredict and no pro-rata sliver.
+      if (guard_peaks_) {
+        // The decision covers `intervals` complete intervals, each
+        // carrying load / intervals. Cap charging so every interval's net
+        // stays at or below max(raw, floor) - raw is known here, so
+        // there is no future load within the interval to mispredict.
         const double floor_mwh = raw_demand_floor(c);
         request = std::min(
             request,
             std::max(0.0,
-                     floor_mwh * static_cast<double>(per_step) - load));
-        if (request < intent) m_guard_activations_.add();
-      } else if (guard_peaks_) {
-        // Charging may fill the interval only up to the month's
-        // established billed-demand level - it must never set the billed
-        // demand itself. The budget is enforced cumulatively over the
-        // interval AND pro-rata per step, so early charging cannot eat
-        // the budget the rest of the interval's load still needs.
-        const double step_frac =
-            view.dt.value() * static_cast<double>(meter_sph_);
-        const double budget =
-            std::min(month_level_mwh_[c] * step_frac,
-                     month_level_mwh_[c] - interval_net_mwh_[c]) -
-            load;
-        request = std::min(request, std::max(0.0, budget));
+                     floor_mwh * static_cast<double>(intervals) - load));
         if (request < intent) m_guard_activations_.add();
       }
-      grid += batteries_[c].charge(MegawattHours{request}, view.dt).value();
+      grid += batteries_[c].charge(MegawattHours{request}, dt).value();
     } else if (intent < 0.0) {
       // Discharge serves local load only (no export to the grid).
       const double request = std::min(-intent, load);
-      grid -= batteries_[c].discharge(MegawattHours{request}, view.dt).value();
+      grid -= batteries_[c].discharge(MegawattHours{request}, dt).value();
     }
 
-    if (per_step == 1) {
-      raw_mwh_[c][static_cast<std::size_t>(row)] += load;
-      net_mwh_[c][static_cast<std::size_t>(row)] += grid;
-      spot_[c][static_cast<std::size_t>(row)] = price;
-    } else {
-      // Demand (and the battery's grid action) is uniform within a
-      // step, so a step finer than nothing - coarser than the meter -
-      // spreads evenly across its intervals; the engine billed the step
-      // at its time-mean price, which each interval inherits.
-      const double raw_share = load / static_cast<double>(per_step);
-      const double net_share = grid / static_cast<double>(per_step);
-      for (std::int64_t i = 0; i < per_step; ++i) {
-        raw_mwh_[c][static_cast<std::size_t>(row + i)] += raw_share;
-        net_mwh_[c][static_cast<std::size_t>(row + i)] += net_share;
-        spot_[c][static_cast<std::size_t>(row + i)] = price;
-      }
+    // Demand (and the battery's grid action) is uniform within a step,
+    // so a step coarser than the meter spreads evenly across its
+    // intervals; the engine billed the step at its time-mean price,
+    // which each interval inherits.
+    const double raw_share = load / static_cast<double>(intervals);
+    const double net_share = grid / static_cast<double>(intervals);
+    for (std::int64_t i = 0; i < intervals; ++i) {
+      raw_mwh_[c][static_cast<std::size_t>(row + i)] += raw_share;
+      net_mwh_[c][static_cast<std::size_t>(row + i)] += net_share;
+      spot_[c][static_cast<std::size_t>(row + i)] = price;
     }
 
-    if (guard_peaks_ && exact_guard_) {
-      // Fold the step's completed raw intervals into the month's
-      // measurement (the floor for *later* decisions; this cluster's
-      // own cap above read the pre-step state).
+    if (guard_peaks_) {
+      // Fold the completed raw intervals into the month's measurement
+      // (the floor for *later* decisions; this cluster's own cap above
+      // read the pre-decision state).
       auto& stats = month_raw_stats_[c];
-      const double raw_share = load / static_cast<double>(per_step);
-      for (std::int64_t i = 0; i < per_step; ++i) stats.insert(raw_share);
-    } else if (guard_peaks_) {
-      interval_net_mwh_[c] += grid;
+      for (std::int64_t i = 0; i < intervals; ++i) stats.insert(raw_share);
     }
   }
-  if (guard_peaks_ && exact_guard_) month_done_ += per_step;
+  if (guard_peaks_) month_done_ += intervals;
 }
 
 void StorageController::on_run_end(core::RunResult& result) {

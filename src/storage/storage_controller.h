@@ -3,11 +3,11 @@
 
 // StepObserver that puts a battery behind the meter at every cluster.
 //
-// Each accounted interval it sees the cluster's grid energy and the
-// concurrent billing price, asks the scenario's charge policy for an
+// Each metering interval it sees the cluster's grid energy and the
+// interval's billing price, asks the scenario's charge policy for an
 // intent, clamps it against the battery's physical limits (and, under a
-// demand-charge tariff, against the month's established demand level so
-// charging never creates a new billing peak), and accumulates two load
+// demand-charge tariff, against a floor on the month's billed raw demand
+// so charging never creates a new billing peak), and accumulates two load
 // series per cluster on the run's *native metering interval* - the
 // market's price interval (hourly for the paper's setup, 5-minute for a
 // 5-minute market): the raw draw the engine accounted and the net draw
@@ -17,29 +17,26 @@
 //
 // Charge guard. Demand is billed at the tariff's percentile of each
 // calendar month's interval average power, so charging must never lift
-// the billed net demand above the raw (no-battery) level:
+// the billed net demand above the raw (no-battery) level. The battery
+// therefore acts once per *metering interval*, when that interval's raw
+// load is known:
 //
-//  - When the metering interval is no coarser than the accounting step
-//    (a 5-minute market on the 5-minute trace, any market on the hourly
-//    workload), the interval's raw load is known at decision time and
-//    the guard is *exact*: charging in an interval is capped at
-//    max(raw, L) where L is a provable lower bound on the month's final
-//    billed raw demand (the R-7 lower order statistic of the month's
-//    raw intervals so far, padded with zeros for the intervals still to
-//    come - monotone in the padding, so it can only rise toward the
-//    true level). Net billed demand <= raw billed demand then holds at
-//    any percentile and any resolution, with no pro-rata sliver
-//    (property-tested in tests/test_storage_metering.cpp).
+//  - a step no finer than the meter covers whole intervals, so the
+//    battery acts every step;
+//  - a step finer than the meter (the 5-minute trace under an hourly or
+//    15-minute market) is summed until the interval's last step, and
+//    the battery then acts once on the whole interval, at the
+//    interval's billing price (constant within it: the meter is the
+//    market's native interval).
 //
-//  - When the meter is coarser than the step (hourly metering of a
-//    5-minute trace - the paper's original setup), the interval's
-//    remaining load is unknowable at decision time and the guard keeps
-//    the historical cumulative + pro-rata budget against the percentile
-//    of the month's completed net intervals (byte-identical to the
-//    pre-interval-metering behaviour; a mid-interval load jump after
-//    charging can still nudge billed demand a fraction of a percent
-//    above raw). Run the market at the workload's cadence to get the
-//    exact guard.
+// Either way the interval's raw load is known at decision time, and
+// charging is capped at max(raw, L) per interval, where L is a provable
+// lower bound on the month's final billed raw demand (the R-7 lower
+// order statistic of the month's raw intervals so far, padded with
+// zeros for the intervals still to come - monotone in the padding, so
+// it can only rise toward the true level). Net billed demand <= raw
+// billed demand then holds at any percentile and any resolution
+// (property-tested in tests/test_storage_metering.cpp).
 //
 // The controller never influences routing or the engine's own dollar
 // accounting - it composes with SecondaryMeter and HourlyEnergyRecorder
@@ -62,7 +59,7 @@ namespace cebis::storage {
 
 /// Ascending order statistic of a growing multiset: a max-heap of the
 /// smallest `rank + 1` elements against a min-heap of the rest, so both
-/// insert() and at() are O(log n). The exact charge guard reads exactly
+/// insert() and at() are O(log n). The charge guard reads exactly
 /// one order statistic per decision, at a rank that only advances as
 /// the month's intervals complete - a sorted-vector insert would
 /// memmove O(n) doubles per step and go quadratic over long sub-hourly
@@ -129,9 +126,6 @@ class StorageController final : public core::StepObserver {
   [[nodiscard]] const std::vector<Battery>& batteries() const noexcept {
     return batteries_;
   }
-  /// True when the run's metering interval made the exact charge guard
-  /// applicable (meter no coarser than the accounting step).
-  [[nodiscard]] bool exact_guard() const noexcept { return exact_guard_; }
 
  private:
   /// Provable lower bound on the month's final billed raw demand (MWh
@@ -155,34 +149,24 @@ class StorageController final : public core::StepObserver {
 
   Period period_{0, 0};
   int steps_per_hour_ = 1;
-  int meter_sph_ = 1;        ///< metering rows per hour (price interval)
-  bool guard_peaks_ = false; ///< demand tariff + cap_charge_at_peak
-  bool exact_guard_ = false; ///< meter interval <= accounting step
+  int meter_sph_ = 1;           ///< metering rows per hour (price interval)
+  int steps_per_interval_ = 1;  ///< steps summed into one decision
+  bool guard_peaks_ = false;    ///< the tariff carries a demand charge
 
   std::vector<Battery> batteries_;
   std::vector<std::unique_ptr<ChargePolicy>> policies_;
   std::vector<std::vector<double>> raw_mwh_;   // [cluster][interval]
   std::vector<std::vector<double>> net_mwh_;   // [cluster][interval]
   std::vector<std::vector<double>> spot_;      // [cluster][interval]
+  std::vector<double> pending_mwh_;  ///< raw load of the open interval
 
   // --- month-scoped guard state ---------------------------------------
   int guard_month_ = 0;                ///< calendar month being metered
   std::int64_t month_intervals_ = 0;   ///< intervals of month ∩ period
   std::int64_t month_done_ = 0;        ///< completed intervals so far
 
-  // Exact path: completed raw intervals, queryable by ascending rank.
+  // Completed raw intervals of the month, queryable by ascending rank.
   std::vector<RunningOrderStatistic> month_raw_stats_;  // per cluster
-
-  // Legacy path (meter coarser than step): demand is billed on interval
-  // energy at the tariff's demand percentile, so the guard compares the
-  // accumulating interval against the month's established *billed*
-  // level - the configured percentile of the completed net intervals
-  // (the max for a plain peak tariff), budgeted cumulatively over the
-  // interval AND pro-rata per step.
-  std::vector<double> interval_net_mwh_;  ///< current interval's net draw
-  std::vector<std::vector<double>> month_net_mwh_;  ///< completed net intervals
-  std::vector<double> month_level_mwh_;   ///< billed level of those intervals
-  std::int64_t guard_row_ = 0;            ///< interval row being accumulated
 };
 
 }  // namespace cebis::storage

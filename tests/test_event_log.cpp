@@ -163,7 +163,6 @@ TEST(EventLog, SessionMetaRoundTripsStorage) {
   storage.battery.initial_soc_fraction = 0.5;
   storage.policy = "arbitrage";
   storage.policy_config = storage::PolicyConfig{};  // default: loggable
-  storage.cap_charge_at_peak = false;
   storage.tariff.index_to_wholesale = false;
   storage.tariff.energy_adder = UsdPerMwh{42.5};
   storage.tariff.demand_usd_per_kw_month = Usd{11.0};
@@ -186,7 +185,6 @@ TEST(EventLog, SessionMetaRoundTripsStorage) {
   EXPECT_EQ(got.battery.initial_soc_fraction, 0.5);
   EXPECT_EQ(got.policy, "arbitrage");
   EXPECT_TRUE(got.per_cluster.empty());
-  EXPECT_FALSE(got.cap_charge_at_peak);
   EXPECT_FALSE(got.tariff.index_to_wholesale);
   EXPECT_EQ(got.tariff.energy_adder.value(), 42.5);
   EXPECT_EQ(got.tariff.demand_usd_per_kw_month.value(), 11.0);

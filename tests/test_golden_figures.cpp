@@ -106,9 +106,9 @@ TEST_F(GoldenFigures, LyapunovStorageBeatsZeroBattery) {
   // ISSUE 3 acceptance anchor: under a wholesale-indexed tariff with a
   // $12/kW-month demand charge, per-cluster 8-hour batteries run by the
   // Lyapunov policy bill strictly less than the identical scenario with
-  // zero battery capacity - pinned at 0.9815 of the no-battery bill
+  // zero battery capacity - pinned at 0.9810 of the no-battery bill
   // (energy arbitrage nets the gain; the peak guard keeps the demand
-  // component within a sliver of raw).
+  // component at most raw).
   ScenarioSpec spec{
       .router = "price-aware",
       .config = PriceAwareConfig{.distance_threshold = Km{1500.0}},
@@ -133,7 +133,7 @@ TEST_F(GoldenFigures, LyapunovStorageBeatsZeroBattery) {
   EXPECT_LT(with.storage.net_total().value(), zero.storage.net_total().value());
   CEBIS_EXPECT_REL_NEAR(
       with.storage.net_total().value() / zero.storage.net_total().value(),
-      0.981492898, kGoldenRel);
+      0.980966556, kGoldenRel);
 }
 
 }  // namespace
