@@ -1,5 +1,7 @@
 // Microbenchmarks (google-benchmark): market and trace generation
-// throughput.
+// throughput. MarketSimulator::generate fans out over worker threads,
+// so its rows time the wall clock (UseRealTime), not the calling
+// thread's CPU.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +22,11 @@ void BM_MarketGeneration(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * period.hours() * 29);
 }
-BENCHMARK(BM_MarketGeneration)->Arg(1)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MarketGeneration)
+    ->Arg(1)
+    ->Arg(24)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullStudyGeneration(benchmark::State& state) {
   const market::MarketSimulator sim(2009);
@@ -30,7 +36,22 @@ void BM_FullStudyGeneration(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * study_period().hours() * 29);
 }
-BENCHMARK(BM_FullStudyGeneration)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullStudyGeneration)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// The five-minute market over the live session's window (the trace
+// window plus its one-hour routing-delay margin): what LazyPriceHistory
+// pays for cover(window, 12), intra-hour burn-in from the study epoch
+// included.
+void BM_SubHourlyGeneration(benchmark::State& state) {
+  const market::MarketSimulator sim(2009);
+  const Period period{trace_period().begin - 1, trace_period().end};
+  for (auto _ : state) {
+    const market::PriceSet set = sim.generate(period, 12);
+    benchmark::DoNotOptimize(set.rt.size());
+  }
+  state.SetItemsProcessed(state.iterations() * period.hours() * 29 * 12);
+}
+BENCHMARK(BM_SubHourlyGeneration)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_TraceGeneration(benchmark::State& state) {
   const traffic::TraceGenerator gen(2009);

@@ -27,6 +27,9 @@
 // call in its serial plan phase; during the concurrent run phase the
 // history must not grow - engines only read the PriceSet references
 // resolved up front, which the stable-address guarantee keeps valid.
+// A generating cover() fans out internally (MarketSimulator::generate
+// runs its RNG streams on worker threads and joins them before it
+// returns), but callers still call it from one thread at a time.
 
 #include <cstdint>
 #include <map>

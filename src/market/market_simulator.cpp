@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "base/parallel.h"
 #include "geo/latlon.h"
 
 namespace cebis::market {
@@ -36,11 +40,13 @@ constexpr std::uint64_t kStreamScarcity = 900;  // + rto
 /// spike-free units. At 12 samples per hour this is the calibration
 /// itself (bit-for-bit, no pow round-trip).
 struct SubHourlyParams {
+  int samples_per_hour;
   double phi;
   double spike_rate;
   double inno;
 
-  SubHourlyParams(const FiveMinParams& fm, int samples_per_hour) {
+  SubHourlyParams(const FiveMinParams& fm, int samples_per_hour)
+      : samples_per_hour(samples_per_hour) {
     const double k = 12.0 / static_cast<double>(samples_per_hour);
     phi = samples_per_hour == 12 ? fm.phi : std::pow(fm.phi, k);
     spike_rate = samples_per_hour == 12
@@ -49,6 +55,51 @@ struct SubHourlyParams {
     inno = innovation_sigma(fm.sigma, phi);
   }
 };
+
+/// One hub's intra-hour AR(1) process: its stream and its state.
+struct IntraHour {
+  stats::Rng rng;
+  double ar = 0.0;
+};
+
+/// Appends `samples_per_hour` intra-hour samples around each of
+/// `hourly` to `out`, continuing the process `x`.
+void emit_sub_hourly(std::span<const double> hourly,
+                     const PriceModelParams& params, const SubHourlyParams& sub,
+                     IntraHour& x, std::vector<double>& out) {
+  const FiveMinParams& fm = params.five_min;
+  for (const double hour_price : hourly) {
+    for (int i = 0; i < sub.samples_per_hour; ++i) {
+      x.ar = sub.phi * x.ar + x.rng.normal(0.0, sub.inno);
+      double p = hour_price * std::exp(x.ar - fm.sigma * fm.sigma / 2.0);
+      if (x.rng.bernoulli(sub.spike_rate)) {
+        p += x.rng.pareto(fm.spike_scale, 1.8);
+      }
+      out.push_back(std::clamp(p, params.price_floor, params.price_cap));
+    }
+  }
+}
+
+/// Advances `x` over `samples` samples exactly as emit_sub_hourly would
+/// (the normal, the spike bernoulli and the spike's one uniform),
+/// without the exp, pow and clamp whose values a pre-window sample
+/// would discard.
+void burn_sub_hourly(const SubHourlyParams& sub, std::int64_t samples,
+                     IntraHour& x) {
+  for (std::int64_t s = 0; s < samples; ++s) {
+    x.ar = sub.phi * x.ar + x.rng.normal(0.0, sub.inno);
+    if (x.rng.bernoulli(sub.spike_rate)) (void)x.rng.uniform();
+  }
+}
+
+/// Appends each hourly price `samples_per_hour` times: the shape of a
+/// hub whose market settles no finer than the requested interval.
+void append_flat_hours(std::span<const double> hourly, int samples_per_hour,
+                       std::vector<double>& out) {
+  for (const double hour_price : hourly) {
+    out.insert(out.end(), static_cast<std::size_t>(samples_per_hour), hour_price);
+  }
+}
 
 void expect_divides_hour(int samples_per_hour, const char* who) {
   if (!divides_hour(samples_per_hour)) {
@@ -84,109 +135,187 @@ MarketSimulator::MarketSimulator(const HubRegistry& hubs, PriceModelParams param
 }
 
 PriceSet MarketSimulator::generate(const Period& period) const {
+  return generate(period, 1);
+}
+
+PriceSet MarketSimulator::generate(const Period& period,
+                                   int samples_per_hour) const {
+  expect_divides_hour(samples_per_hour, "MarketSimulator::generate");
   const Period study = study_period();
   if (period.begin < study.begin || period.end < period.begin) {
     throw std::invalid_argument("MarketSimulator::generate: period before study epoch");
   }
 
+  // Retained outputs are allocated here, on the calling thread (worker
+  // allocations would land in per-thread malloc arenas that outlive the
+  // call); the tasks only append within capacity. Hubs whose market
+  // settles at least as finely as the requested interval get an
+  // intra-hour AR(1) stream; coarser hubs keep flat hours.
   const std::size_t hub_count = hubs_.size();
-  const auto want = [&](HourIndex t) { return period.contains(t); };
+  const std::span<const HubId> hourly = hubs_.hourly_hubs();
   const auto n_out = static_cast<std::size_t>(period.hours());
-
+  const bool sub_hourly = samples_per_hour > 1;
   std::vector<std::vector<double>> rt(hub_count);
   std::vector<std::vector<double>> da(hub_count);
-  for (HubId id : hubs_.hourly_hubs()) {
+  std::vector<std::vector<double>> fine(hub_count);
+  std::vector<std::optional<IntraHour>> intra(hub_count);
+  for (HubId id : hourly) {
     rt[id.index()].reserve(n_out);
     da[id.index()].reserve(n_out);
+    if (!sub_hourly) continue;
+    fine[id.index()].reserve(n_out * static_cast<std::size_t>(samples_per_hour));
+    if (60 / samples_per_hour >= hubs_.info(id).rt_interval_minutes) {
+      intra[id.index()] = IntraHour{stats::Rng(seed_).split(kStreamFiveMin + id.index())};
+    }
   }
 
+  // One fan-out over the independent streams: a task per market RTO
+  // (hourly RT + DA of its hubs; every hourly hub belongs to a market
+  // RTO), then, at sub-hourly resolution, a task per hub that burns its
+  // intra-hour stream in up to the window. Each task owns its streams
+  // and draws them in epoch order, so the bytes do not depend on the
+  // pool width.
+  const SubHourlyParams sub(params_.five_min, samples_per_hour);
+  const std::span<const Rto> rtos = market_rtos();
+  const auto n_rto = static_cast<std::int64_t>(rtos.size());
+  const std::int64_t burn_in = (period.begin - study.begin) * samples_per_hour;
+  parallel_for_index(
+      n_rto + (sub_hourly ? static_cast<std::int64_t>(hourly.size()) : 0),
+      default_thread_count(), [&](std::int64_t i) {
+        if (i < n_rto) {
+          generate_rto(rtos[static_cast<std::size_t>(i)], period, rt, da);
+          return;
+        }
+        const std::size_t h = hourly[static_cast<std::size_t>(i - n_rto)].index();
+        if (!intra[h]) return;
+        // Drawn on a local copy: neighbouring hubs' processes share
+        // cache lines with this one's.
+        IntraHour x = *intra[h];
+        burn_sub_hourly(sub, burn_in, x);
+        intra[h] = x;
+      });
+
+  PriceSet out;
+  out.period = period;
+  out.samples_per_hour = samples_per_hour;
+  out.rt.resize(hub_count);
+  out.da.resize(hub_count);
+  if (sub_hourly) {
+    // The short in-window pass: each hub's samples around its hourly
+    // prices, which the RTO tasks above produced.
+    parallel_for_index(
+        static_cast<std::int64_t>(hourly.size()), default_thread_count(),
+        [&](std::int64_t i) {
+          const std::size_t h = hourly[static_cast<std::size_t>(i)].index();
+          if (intra[h]) {
+            IntraHour x = *intra[h];
+            emit_sub_hourly(rt[h], params_, sub, x, fine[h]);
+          } else {
+            append_flat_hours(rt[h], samples_per_hour, fine[h]);
+          }
+        });
+    rt = std::move(fine);
+  }
+  for (HubId id : hourly) {
+    out.rt[id.index()] =
+        PriceSeries(period, samples_per_hour, std::move(rt[id.index()]));
+    out.da[id.index()] = HourlySeries(period, std::move(da[id.index()]));
+  }
+  return out;
+}
+
+void MarketSimulator::generate_rto(Rto rto, const Period& period,
+                                   std::vector<std::vector<double>>& rt,
+                                   std::vector<std::vector<double>>& da) const {
+  const auto r = static_cast<std::size_t>(rto);
+  const std::vector<HubId>& ids = rto_members_[r];
+  if (ids.empty()) return;
+  const stats::Matrix& chol = rto_chol_[r];
   const FactorParams& fp = params_.factors;
   const SpikeParams& sp = params_.spikes;
-
-  stats::Rng base(seed_);
+  const stats::Rng base(seed_);
+  // The national factor is the one stream all RTOs read; every task
+  // draws its own copy of it, so the tasks share nothing.
   stats::Rng rng_nat = base.split(kStreamNational);
-  std::vector<stats::Rng> rng_reg;
-  std::vector<stats::Rng> rng_loc;
-  std::vector<stats::Rng> rng_evt;
-  std::vector<stats::Rng> rng_reg_fast;
-  std::vector<stats::Rng> rng_scarce;
-  for (int r = 0; r < kRtoCount; ++r) {
-    rng_reg.push_back(base.split(kStreamRegional + static_cast<std::uint64_t>(r)));
-    rng_reg_fast.push_back(
-        base.split(kStreamRegionalFast + static_cast<std::uint64_t>(r)));
-    rng_loc.push_back(base.split(kStreamLocal + static_cast<std::uint64_t>(r)));
-    rng_evt.push_back(base.split(kStreamRtoEvent + static_cast<std::uint64_t>(r)));
-    rng_scarce.push_back(base.split(kStreamScarcity + static_cast<std::uint64_t>(r)));
-  }
-  std::vector<stats::Rng> rng_spike;
-  std::vector<stats::Rng> rng_da;
-  std::vector<stats::Rng> rng_micro;
-  for (std::size_t h = 0; h < hub_count; ++h) {
-    rng_spike.push_back(base.split(kStreamSpike + h));
-    rng_da.push_back(base.split(kStreamDayAhead + h));
-    rng_micro.push_back(base.split(kStreamMicro + h));
+  stats::Rng rng_reg = base.split(kStreamRegional + r);
+  stats::Rng rng_reg_fast = base.split(kStreamRegionalFast + r);
+  stats::Rng rng_loc = base.split(kStreamLocal + r);
+  stats::Rng rng_evt = base.split(kStreamRtoEvent + r);
+  stats::Rng rng_scarce = base.split(kStreamScarcity + r);
+
+  // Per-hub state in rto_members_ order, which is hourly_hubs() order
+  // restricted to this RTO: the scarcity decay below walks it, and an
+  // onset and a decay in the same hour draw from the same RTO stream.
+  struct HubState {
+    HubId id;
+    const HubInfo* info;
+    stats::Rng spike_rng;
+    stats::Rng da_rng;
+    stats::Rng micro_rng;
+    double local = 0.0;
+    double spike = 0.0;
+    double scarcity = 0.0;
+    double var = 0.0;     // of the log-price's zero-mean normal terms
+    double da_var = 0.0;  // of the day-ahead log-price's
+  };
+  std::vector<HubState> hubs;
+  hubs.reserve(ids.size());
+  for (HubId id : ids) {
+    const HubInfo& hub = hubs_.info(id);
+    const double bs2 = hub.beta_slow * hub.beta_slow;
+    const double bf2 = hub.beta_fast * hub.beta_fast;
+    hubs.push_back(HubState{
+        .id = id,
+        .info = &hub,
+        .spike_rng = base.split(kStreamSpike + id.index()),
+        .da_rng = base.split(kStreamDayAhead + id.index()),
+        .micro_rng = base.split(kStreamMicro + id.index()),
+        .var = bs2 * (fp.sigma_national * fp.sigma_national +
+                      fp.sigma_regional * fp.sigma_regional) +
+               bf2 * (fp.sigma_regional_fast * fp.sigma_regional_fast +
+                      (fp.sigma_local * hub.vol_scale) * (fp.sigma_local * hub.vol_scale) +
+                      (fp.micro_sigma * hub.vol_scale) * (fp.micro_sigma * hub.vol_scale)),
+        .da_var = bs2 * (fp.sigma_national * fp.sigma_national +
+                         fp.sigma_regional * fp.sigma_regional) +
+                  params_.day_ahead.noise_sigma * params_.day_ahead.noise_sigma,
+    });
   }
 
   // Factor state, initialized at the stationary distribution.
   double national = rng_nat.normal(0.0, fp.sigma_national);
-  std::vector<double> regional(kRtoCount, 0.0);
-  std::vector<double> regional_fast(kRtoCount, 0.0);
-  for (Rto rto : market_rtos()) {
-    auto& r = regional[static_cast<std::size_t>(rto)];
-    r = rng_reg[static_cast<std::size_t>(rto)].normal(0.0, fp.sigma_regional);
-    auto& rf = regional_fast[static_cast<std::size_t>(rto)];
-    rf = rng_reg_fast[static_cast<std::size_t>(rto)].normal(0.0, fp.sigma_regional_fast);
+  double regional = rng_reg.normal(0.0, fp.sigma_regional);
+  double regional_fast = rng_reg_fast.normal(0.0, fp.sigma_regional_fast);
+  std::vector<double> z(ids.size());
+  std::vector<double> corr(ids.size());
+  for (auto& v : z) v = rng_loc.normal();
+  chol.mul(z, corr);
+  for (std::size_t i = 0; i < hubs.size(); ++i) {
+    hubs[i].local = corr[i] * fp.sigma_local * hubs[i].info->vol_scale;
   }
-  std::vector<double> local(hub_count, 0.0);
-  for (Rto rto : market_rtos()) {
-    const auto& ids = rto_members_[static_cast<std::size_t>(rto)];
-    auto& rng = rng_loc[static_cast<std::size_t>(rto)];
-    const auto& chol = rto_chol_[static_cast<std::size_t>(rto)];
-    std::vector<double> z(ids.size());
-    for (auto& v : z) v = rng.normal();
-    const std::vector<double> corr = chol.mul(z);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      local[ids[i].index()] =
-          corr[i] * fp.sigma_local * hubs_.info(ids[i]).vol_scale;
-    }
-  }
-  std::vector<double> spike(hub_count, 0.0);
-  std::vector<double> scarcity(hub_count, 0.0);
 
   // Day-ahead factor snapshot, refreshed at each (epoch) day boundary.
   double da_nat = national;
-  std::vector<double> da_reg = regional;
+  double da_reg = regional;
 
   const double nat_inno = innovation_sigma(fp.sigma_national, fp.phi_national);
   const double reg_inno = innovation_sigma(fp.sigma_regional, fp.phi_regional);
   const double reg_fast_inno =
       innovation_sigma(fp.sigma_regional_fast, fp.phi_regional_fast);
   const double loc_inno_unit = std::sqrt(std::max(0.0, 1.0 - fp.phi_local * fp.phi_local));
+  const double scarcity_rate = sp.scarcity_per_hour * params_.scarcity_scale_for(rto);
 
+  const Period study = study_period();
   for (HourIndex t = study.begin; t < period.end; ++t) {
     // --- factor evolution --------------------------------------------
     national = fp.phi_national * national + rng_nat.normal(0.0, nat_inno);
-    for (Rto rto : market_rtos()) {
-      auto& r = regional[static_cast<std::size_t>(rto)];
-      r = fp.phi_regional * r +
-          rng_reg[static_cast<std::size_t>(rto)].normal(0.0, reg_inno);
-      auto& rf = regional_fast[static_cast<std::size_t>(rto)];
-      rf = fp.phi_regional_fast * rf +
-           rng_reg_fast[static_cast<std::size_t>(rto)].normal(0.0, reg_fast_inno);
-    }
-    for (Rto rto : market_rtos()) {
-      const auto& ids = rto_members_[static_cast<std::size_t>(rto)];
-      if (ids.empty()) continue;
-      auto& rng = rng_loc[static_cast<std::size_t>(rto)];
-      const auto& chol = rto_chol_[static_cast<std::size_t>(rto)];
-      std::vector<double> z(ids.size());
-      for (auto& v : z) v = rng.normal();
-      const std::vector<double> corr = chol.mul(z);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        const double scale = fp.sigma_local * hubs_.info(ids[i]).vol_scale;
-        auto& l = local[ids[i].index()];
-        l = fp.phi_local * l + corr[i] * scale * loc_inno_unit;
-      }
+    regional = fp.phi_regional * regional + rng_reg.normal(0.0, reg_inno);
+    regional_fast =
+        fp.phi_regional_fast * regional_fast + rng_reg_fast.normal(0.0, reg_fast_inno);
+    for (auto& v : z) v = rng_loc.normal();
+    chol.mul(z, corr);
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      const double scale = fp.sigma_local * hubs[i].info->vol_scale;
+      hubs[i].local = fp.phi_local * hubs[i].local + corr[i] * scale * loc_inno_unit;
     }
 
     if (hour_of_day(t) == 0) {
@@ -195,169 +324,78 @@ PriceSet MarketSimulator::generate(const Period& period) const {
     }
 
     // --- scarcity events (rare, sustained, near-cap) -------------------
-    for (Rto rto : market_rtos()) {
-      auto& rng = rng_scarce[static_cast<std::size_t>(rto)];
-      const double rate = sp.scarcity_per_hour * params_.scarcity_scale_for(rto);
-      if (rng.bernoulli(rate)) {
-        const double mag = rng.uniform(sp.scarcity_lo, sp.scarcity_hi);
-        for (HubId id : rto_members_[static_cast<std::size_t>(rto)]) {
-          if (rng.bernoulli(0.9)) {
-            scarcity[id.index()] = mag * rng.uniform(0.8, 1.2);
-          }
-        }
+    if (rng_scarce.bernoulli(scarcity_rate)) {
+      const double mag = rng_scarce.uniform(sp.scarcity_lo, sp.scarcity_hi);
+      for (HubState& h : hubs) {
+        if (rng_scarce.bernoulli(0.9)) h.scarcity = mag * rng_scarce.uniform(0.8, 1.2);
       }
     }
-    for (HubId id : hubs_.hourly_hubs()) {
-      auto& v = scarcity[id.index()];
-      if (v != 0.0) {
-        auto& rng = rng_scarce[static_cast<std::size_t>(hubs_.info(id).rto)];
-        v = rng.bernoulli(sp.scarcity_persist) ? v * 0.9 : 0.0;
-        if (v < 1.0) v = 0.0;
+    for (HubState& h : hubs) {
+      if (h.scarcity != 0.0) {
+        h.scarcity = rng_scarce.bernoulli(sp.scarcity_persist) ? h.scarcity * 0.9 : 0.0;
+        if (h.scarcity < 1.0) h.scarcity = 0.0;
       }
     }
 
     // --- spikes -------------------------------------------------------
-    for (Rto rto : market_rtos()) {
-      auto& evt = rng_evt[static_cast<std::size_t>(rto)];
-      if (evt.bernoulli(sp.rto_event_per_hour)) {
-        const double mag =
-            std::min(evt.pareto(sp.pareto_xm, sp.pareto_alpha), sp.magnitude_cap);
-        for (HubId id : rto_members_[static_cast<std::size_t>(rto)]) {
-          if (evt.bernoulli(sp.rto_participation)) {
-            spike[id.index()] +=
-                mag * evt.uniform(0.7, 1.0) * hubs_.info(id).spike_scale;
-          }
+    if (rng_evt.bernoulli(sp.rto_event_per_hour)) {
+      const double mag =
+          std::min(rng_evt.pareto(sp.pareto_xm, sp.pareto_alpha), sp.magnitude_cap);
+      for (HubState& h : hubs) {
+        if (rng_evt.bernoulli(sp.rto_participation)) {
+          h.spike += mag * rng_evt.uniform(0.7, 1.0) * h.info->spike_scale;
         }
       }
     }
-    for (HubId id : hubs_.hourly_hubs()) {
-      auto& rng = rng_spike[id.index()];
-      auto& j = spike[id.index()];
-      if (j != 0.0) {
-        j = rng.bernoulli(sp.persist) ? j * sp.decay : 0.0;
-        if (std::abs(j) < 1.0) j = 0.0;
+    for (HubState& h : hubs) {
+      if (h.spike != 0.0) {
+        h.spike = h.spike_rng.bernoulli(sp.persist) ? h.spike * sp.decay : 0.0;
+        if (std::abs(h.spike) < 1.0) h.spike = 0.0;
       }
-      if (rng.bernoulli(sp.onset_per_hour * hubs_.info(id).spike_rate_scale)) {
-        double mag = std::min(rng.pareto(sp.pareto_xm, sp.pareto_alpha),
+      if (h.spike_rng.bernoulli(sp.onset_per_hour * h.info->spike_rate_scale)) {
+        double mag = std::min(h.spike_rng.pareto(sp.pareto_xm, sp.pareto_alpha),
                               sp.magnitude_cap) *
-                     hubs_.info(id).spike_scale;
-        if (rng.bernoulli(sp.p_negative)) mag = -mag * sp.negative_scale;
-        j += mag;
+                     h.info->spike_scale;
+        if (h.spike_rng.bernoulli(sp.p_negative)) mag = -mag * sp.negative_scale;
+        h.spike += mag;
       }
     }
 
-    if (!want(t)) {
+    if (t < period.begin) {
       // Still consume the per-hub micro/DA draws so output is invariant
       // to the requested window.
-      for (HubId id : hubs_.hourly_hubs()) {
-        (void)rng_micro[id.index()].normal();
-        (void)rng_da[id.index()].normal();
+      for (HubState& h : hubs) {
+        (void)h.micro_rng.normal();
+        (void)h.da_rng.normal();
       }
       continue;
     }
 
     // --- price assembly ------------------------------------------------
-    for (HubId id : hubs_.hourly_hubs()) {
-      const HubInfo& hub = hubs_.info(id);
+    for (HubState& h : hubs) {
+      const HubInfo& hub = *h.info;
       const double shape = deterministic_shape(t, hub.utc_offset_hours, hub.rto);
-      const double slow =
-          hub.beta_slow *
-          (national + regional[static_cast<std::size_t>(hub.rto)]);
-      const double fast =
-          hub.beta_fast * (regional_fast[static_cast<std::size_t>(hub.rto)] +
-                           local[id.index()]);
-      const double micro = hub.beta_fast *
-                           rng_micro[id.index()].normal(0.0, fp.micro_sigma *
-                                                                 hub.vol_scale);
+      const double slow = hub.beta_slow * (national + regional);
+      const double fast = hub.beta_fast * (regional_fast + h.local);
+      const double micro =
+          hub.beta_fast * h.micro_rng.normal(0.0, fp.micro_sigma * hub.vol_scale);
       // exp() of a zero-mean normal has mean exp(var/2); divide it out so
       // the hub's long-run level tracks base_price.
-      const double bs2 = hub.beta_slow * hub.beta_slow;
-      const double bf2 = hub.beta_fast * hub.beta_fast;
-      const double var =
-          bs2 * (fp.sigma_national * fp.sigma_national +
-                 fp.sigma_regional * fp.sigma_regional) +
-          bf2 * (fp.sigma_regional_fast * fp.sigma_regional_fast +
-                 (fp.sigma_local * hub.vol_scale) * (fp.sigma_local * hub.vol_scale) +
-                 (fp.micro_sigma * hub.vol_scale) * (fp.micro_sigma * hub.vol_scale));
       const double level =
-          hub.base_price * shape * std::exp(slow + fast + micro - var / 2.0);
-      double price = level + spike[id.index()] + scarcity[id.index()];
+          hub.base_price * shape * std::exp(slow + fast + micro - h.var / 2.0);
+      double price = level + h.spike + h.scarcity;
       price = std::clamp(price, params_.price_floor, params_.price_cap);
-      rt[id.index()].push_back(price);
+      rt[h.id.index()].push_back(price);
 
       // Day-ahead: previous-day factor snapshot, no spikes, mild noise.
-      const double da_x =
-          hub.beta_slow * (da_nat + da_reg[static_cast<std::size_t>(hub.rto)]);
-      const double da_noise =
-          rng_da[id.index()].normal(0.0, params_.day_ahead.noise_sigma);
-      const double da_var = bs2 * (fp.sigma_national * fp.sigma_national +
-                                   fp.sigma_regional * fp.sigma_regional) +
-                            params_.day_ahead.noise_sigma * params_.day_ahead.noise_sigma;
+      const double da_x = hub.beta_slow * (da_nat + da_reg);
+      const double da_noise = h.da_rng.normal(0.0, params_.day_ahead.noise_sigma);
       double da_price = hub.base_price * shape * params_.day_ahead.premium *
-                        std::exp(da_x + da_noise - da_var / 2.0);
+                        std::exp(da_x + da_noise - h.da_var / 2.0);
       da_price = std::clamp(da_price, 0.0, params_.price_cap);
-      da[id.index()].push_back(da_price);
+      da[h.id.index()].push_back(da_price);
     }
   }
-
-  PriceSet out;
-  out.period = period;
-  out.rt.resize(hub_count);
-  out.da.resize(hub_count);
-  for (HubId id : hubs_.hourly_hubs()) {
-    out.rt[id.index()] = HourlySeries(period, std::move(rt[id.index()]));
-    out.da[id.index()] = HourlySeries(period, std::move(da[id.index()]));
-  }
-  return out;
-}
-
-PriceSet MarketSimulator::generate(const Period& period,
-                                   int samples_per_hour) const {
-  expect_divides_hour(samples_per_hour, "MarketSimulator::generate");
-  PriceSet set = generate(period);
-  if (samples_per_hour == 1) return set;
-  set.samples_per_hour = samples_per_hour;
-
-  const int interval_minutes = 60 / samples_per_hour;
-  const FiveMinParams& fm = params_.five_min;
-  const SubHourlyParams sub(fm, samples_per_hour);
-  const Period study = study_period();
-  const auto per_hour = static_cast<std::size_t>(samples_per_hour);
-
-  for (HubId id : hubs_.hourly_hubs()) {
-    const PriceSeries& hourly = set.rt[id.index()];
-    std::vector<double> out;
-    out.reserve(hourly.size() * per_hour);
-    if (interval_minutes < hubs_.info(id).rt_interval_minutes) {
-      // The hub's market settles no finer than its native interval:
-      // every sub-sample repeats the hourly settlement.
-      for (const double hour_price : hourly.values()) {
-        out.insert(out.end(), per_hour, hour_price);
-      }
-    } else {
-      // Same per-hub stream as the Fig 4/5 helper, but evolved from the
-      // study epoch (draws for unwanted hours are consumed, not emitted)
-      // so the output is invariant to the requested window.
-      stats::Rng rng = stats::Rng(seed_).split(kStreamFiveMin + id.index());
-      double ar = 0.0;
-      for (HourIndex t = study.begin; t < period.end; ++t) {
-        const bool want = period.contains(t);
-        const double hour_price = want ? hourly.at(t) : 0.0;
-        for (int i = 0; i < samples_per_hour; ++i) {
-          ar = sub.phi * ar + rng.normal(0.0, sub.inno);
-          double p = hour_price * std::exp(ar - fm.sigma * fm.sigma / 2.0);
-          if (rng.bernoulli(sub.spike_rate)) {
-            p += rng.pareto(fm.spike_scale, 1.8);
-          }
-          if (want) {
-            out.push_back(std::clamp(p, params_.price_floor, params_.price_cap));
-          }
-        }
-      }
-    }
-    set.rt[id.index()] = PriceSeries(period, samples_per_hour, std::move(out));
-  }
-  return set;
 }
 
 std::vector<double> MarketSimulator::five_minute_series(
@@ -378,10 +416,7 @@ PriceSeries MarketSimulator::sub_hourly_view(HubId hub,
     // generate(period, samples_per_hour)).
     std::vector<double> flat;
     flat.reserve(hourly.size() * static_cast<std::size_t>(samples_per_hour));
-    for (const double hour_price : hourly.values()) {
-      flat.insert(flat.end(), static_cast<std::size_t>(samples_per_hour),
-                  hour_price);
-    }
+    append_flat_hours(hourly.values(), samples_per_hour, flat);
     return PriceSeries(hourly.period(), samples_per_hour, std::move(flat));
   }
   return PriceSeries(hourly.period(), samples_per_hour,
@@ -397,22 +432,11 @@ std::vector<double> MarketSimulator::sub_hourly_series(
   if (hourly.samples_per_hour() != 1) {
     throw std::invalid_argument("sub_hourly_series: base series must be hourly");
   }
-  const FiveMinParams& fm = params_.five_min;
-  const SubHourlyParams sub(fm, samples_per_hour);
-  stats::Rng rng = stats::Rng(seed_).split(kStreamFiveMin + hub.index());
+  const SubHourlyParams sub(params_.five_min, samples_per_hour);
+  IntraHour x{stats::Rng(seed_).split(kStreamFiveMin + hub.index())};
   std::vector<double> out;
   out.reserve(hourly.size() * static_cast<std::size_t>(samples_per_hour));
-  double ar = 0.0;
-  for (double hour_price : hourly.values()) {
-    for (int i = 0; i < samples_per_hour; ++i) {
-      ar = sub.phi * ar + rng.normal(0.0, sub.inno);
-      double p = hour_price * std::exp(ar - fm.sigma * fm.sigma / 2.0);
-      if (rng.bernoulli(sub.spike_rate)) {
-        p += rng.pareto(fm.spike_scale, 1.8);
-      }
-      out.push_back(std::clamp(p, params_.price_floor, params_.price_cap));
-    }
-  }
+  emit_sub_hourly(hourly.values(), params_, sub, x, out);
   return out;
 }
 

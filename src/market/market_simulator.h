@@ -13,7 +13,13 @@
 // Generation is deterministic given the seed, and prices for an hour do
 // not depend on the requested window: generate() always evolves the
 // factor processes from the study epoch, so a 24-day slice agrees with
-// the same hours inside a 39-month run.
+// the same hours inside a 39-month run. generate() runs its independent
+// RNG streams as parallel tasks (base/parallel.h): a task per market
+// RTO for the hourly factors, spikes and prices of its hubs, and a task
+// per hub for the intra-hour process. Each stream is owned by one task
+// and drawn in epoch order, so the output is byte-identical to a serial
+// walk at any pool width. Before the window the intra-hour tasks only
+// draw (no price is computed for a sample that would be discarded).
 
 #include <cstdint>
 #include <vector>
@@ -42,8 +48,9 @@ class MarketSimulator {
   [[nodiscard]] PriceSet generate(const Period& period) const;
 
   /// Native-interval RT prices (`samples_per_hour` samples per hour,
-  /// which must divide 60) + hourly DA. Each hub's hourly series is the
-  /// one generate() produces; around it the simulator synthesizes
+  /// which must divide 60) + hourly DA; generate(period) is the
+  /// samples_per_hour == 1 case. Each hub's hourly series is the
+  /// one generate(period) produces; around it the simulator synthesizes
   /// calibrated intra-hour structure (the Fig 4/5 AR process, time-
   /// rescaled to the requested interval) for every hub whose market
   /// settles at least that finely (HubInfo::rt_interval_minutes; coarser
@@ -92,6 +99,15 @@ class MarketSimulator {
   const HubRegistry& hubs_;
   PriceModelParams params_;
   std::uint64_t seed_;
+
+  // One market RTO's share of generate(): evolves the national factor,
+  // the RTO's factor, scarcity and event streams and its hubs' spike,
+  // micro and DA streams from the study epoch, appending the hourly RT
+  // and DA prices of its hubs for `period` to rt/da (hub-indexed,
+  // reserved by the caller).
+  void generate_rto(Rto rto, const Period& period,
+                    std::vector<std::vector<double>>& rt,
+                    std::vector<std::vector<double>>& da) const;
 
   // Per-RTO Cholesky factors of the spatial innovation kernel, indexed
   // by RTO; rto_members_ gives the hub ids in factor order.

@@ -30,6 +30,10 @@ class Matrix {
 
   /// Matrix-vector product.
   [[nodiscard]] std::vector<double> mul(std::span<const double> v) const;
+  /// Matrix-vector product into `out` (size rows()), for loops that
+  /// reuse one buffer (`out` must not alias `v`); same sums, same bits
+  /// as the allocating form.
+  void mul(std::span<const double> v, std::span<double> out) const;
 
   /// Matrix-matrix product.
   [[nodiscard]] Matrix mul(const Matrix& other) const;

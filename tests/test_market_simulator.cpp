@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "market/market_simulator.h"
 #include "stats/descriptive.h"
@@ -69,6 +75,74 @@ TEST(MarketSimulator, WindowInvariance) {
   for (HourIndex h = inner.begin; h < inner.end; h += 7) {
     EXPECT_DOUBLE_EQ(small.rt_at(chi, h).value(), big.rt_at(chi, h).value());
     EXPECT_DOUBLE_EQ(small.da_at(chi, h).value(), big.da_at(chi, h).value());
+  }
+}
+
+/// FNV-1a-style hash, one 64-bit word per step, over the bits of every
+/// rt then da double, series in hub-index order (empty series included).
+std::uint64_t price_set_hash(const PriceSet& set) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&](const std::vector<PriceSeries>& all) {
+    for (const PriceSeries& series : all) {
+      for (const double d : series.values()) {
+        h ^= std::bit_cast<std::uint64_t>(d);
+        h *= 1099511628211ULL;
+      }
+    }
+  };
+  mix(set.rt);
+  mix(set.da);
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(MarketSimulator, GeneratedBytesArePinned) {
+  // The generator fans its independent RNG streams out over worker
+  // threads; every stream must still see exactly the serial draws, so
+  // these hashes of whole PriceSets pin the bytes across the windows
+  // and resolutions the callers use (the trace window at 12, 4 and 1
+  // samples per hour, the full study, the study's first hours with no
+  // burn-in, and a mid-study window at 2).
+  struct Window {
+    Period period;
+    int samples_per_hour;
+  };
+  const Period trace = trace_period();
+  const Period study = study_period();
+  const Period w{trace.begin - 1, trace.end};
+  const std::array<Window, 6> windows{{
+      {w, 12},
+      {w, 4},
+      {w, 1},
+      {study, 1},
+      {Period{study.begin, study.begin + 100}, 12},
+      {Period{study.begin + 5000, study.begin + 5100}, 2},
+  }};
+  struct Pin {
+    std::uint64_t seed;
+    std::array<std::uint64_t, 6> hashes;
+  };
+  const std::array<Pin, 2> pins{{
+      {2009,
+       {0x695830456a8182c1ULL, 0x2f31316c1dfb75c9ULL, 0x227d0595910e9748ULL,
+        0xd1dbd14892b69c80ULL, 0x67819a3ddd1a618aULL, 0xdfe46e00481ace88ULL}},
+      {7,
+       {0xc128bcf1c49efbeeULL, 0x5f6ed77b7b4592eeULL, 0x932ffa296998d1d4ULL,
+        0xa08d48fffe71436cULL, 0x32b950a4e700854aULL, 0xb26e89b4d4a0517cULL}},
+  }};
+  for (const Pin& pin : pins) {
+    const MarketSimulator sim(pin.seed);
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      const PriceSet set =
+          sim.generate(windows[i].period, windows[i].samples_per_hour);
+      EXPECT_EQ(hex(price_set_hash(set)), hex(pin.hashes[i]))
+          << "seed " << pin.seed << ", window " << i;
+    }
   }
 }
 

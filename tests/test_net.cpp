@@ -31,6 +31,8 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -545,6 +547,7 @@ struct RawFeeder {
   Socket sock;
   std::optional<FrameReader> reader;
   IngestStatusFrame status;
+  std::vector<std::uint8_t> status_payload;  ///< the opening status, raw
 
   explicit RawFeeder(std::uint16_t port) {
     sock = connect_to("127.0.0.1", port, 2000);
@@ -555,6 +558,7 @@ struct RawFeeder {
         frame->type != static_cast<std::uint8_t>(NetFrameType::kIngestStatus)) {
       throw NetError("RawFeeder: no IngestStatus after the header");
     }
+    status_payload = frame->payload;
     status = decode_ingest_status(frame->payload, 0);
   }
 
@@ -666,6 +670,96 @@ TEST_F(NetLoopbackTest, CorruptFrameClosesConnectionButSessionSurvives) {
   const core::RunResult replayed =
       service::replay_file(*fixture_, server_log.path());
   EXPECT_EQ(service::diff_run_results(*report.result, replayed), "");
+}
+
+TEST_F(NetLoopbackTest, IngestStatusDecodeSurvivesSeededMutation) {
+  // Three real status payloads from one session: the opening status of
+  // a fresh server, the resume cursor after a partial feed, and the ack
+  // to kFeedEnd. Each is then corrupted a few hundred seeded ways - byte
+  // flips, truncations, cursor-count rewrites - and every image must
+  // either decode to a frame that re-encodes to its own length or raise
+  // EventLogError naming the frame offset. Nothing else may escape.
+  test::TempFile server_log("net_status_mutation.eventlog");
+  const SessionFeed feed = make_feed(*fixture_, 1);
+  const std::vector<service::EventRecord> records =
+      interleave_feed(feed.meta, feed.ticks, feed.steps);
+  const std::size_t split = records.size() / 3;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  {
+    ServerHarness harness(loopback_options(server_log.path()));
+    {
+      RawFeeder feeder(harness.server().ingest_port());
+      payloads.push_back(feeder.status_payload);
+      feeder.send(service::EventRecord{feed.meta});
+      for (std::size_t i = 0; i < split; ++i) feeder.send(records[i]);
+    }
+    RawFeeder feeder(harness.server().ingest_port());
+    ASSERT_TRUE(feeder.status.has_session);
+    ASSERT_FALSE(feeder.status.cursors.empty());
+    payloads.push_back(feeder.status_payload);
+    for (std::size_t i = split; i < records.size(); ++i) feeder.send(records[i]);
+    write_frame(feeder.sock, static_cast<std::uint8_t>(NetFrameType::kFeedEnd),
+                {}, kIoMs);
+    const std::optional<Frame> ack = feeder.reader->next(kIoMs);
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_EQ(ack->type, static_cast<std::uint8_t>(NetFrameType::kIngestStatus));
+    ASSERT_TRUE(decode_ingest_status(ack->payload, 0).complete);
+    payloads.push_back(ack->payload);
+    ASSERT_TRUE(harness.join().result.has_value());
+  }
+
+  constexpr std::size_t kCountAt = 2 * sizeof(std::uint8_t) + 2 * sizeof(std::int64_t);
+  constexpr std::int64_t kOffset = 4321;
+  stats::Rng rng = test::test_rng(1701);
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 600; ++i) {
+    std::vector<std::uint8_t> image = payloads[static_cast<std::size_t>(i) % payloads.size()];
+    std::string what;
+    switch (i / 3 % 3) {
+      case 0: {  // flip bits of one byte
+        const std::size_t at = rng.index(image.size());
+        image[at] = static_cast<std::uint8_t>(image[at] ^ (1 + rng.index(255)));
+        what = "flip at " + std::to_string(at);
+        break;
+      }
+      case 1: {  // cut the payload short
+        image.resize(rng.index(image.size()));
+        what = "truncate to " + std::to_string(image.size());
+        break;
+      }
+      default: {  // rewrite the cursor count
+        std::uint32_t n = 0;
+        std::memcpy(&n, image.data() + kCountAt, sizeof(n));
+        const std::uint32_t choices[] = {
+            0u,
+            n + 1 + static_cast<std::uint32_t>(rng.index(4)),
+            n > 0 ? n - 1 : 1u,
+            0x7FFFFFFFu,
+            0xFFFFFFFFu,
+            static_cast<std::uint32_t>(rng.index(0xFFFFFFFFu)),
+        };
+        n = choices[rng.index(std::size(choices))];
+        std::memcpy(image.data() + kCountAt, &n, sizeof(n));
+        what = "cursor count " + std::to_string(n);
+        break;
+      }
+    }
+    try {
+      const IngestStatusFrame s = decode_ingest_status(image, kOffset);
+      EXPECT_EQ(encode_ingest_status(s).size(), image.size()) << what;
+      ++decoded;
+    } catch (const service::EventLogError& e) {
+      EXPECT_EQ(e.byte_offset(), kOffset) << what << ": " << e.what();
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": escaped as " << e.what();
+    }
+  }
+  // Flips inside a field decode; every truncation and every count that
+  // disagrees with the payload length is a defect.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 300);
 }
 
 TEST_F(NetLoopbackTest, OutOfOrderTickClosesConnectionButSessionSurvives) {
